@@ -15,7 +15,6 @@ from .dynamics import (
     Trajectory,
     build_test1,
     build_test2,
-    eval_cost_density,
     integrate,
     test1_initial_state,
     test2_initial_state,
@@ -66,8 +65,6 @@ from .reduced import (
     check_invariance,
     clamp_to_domain,
     grow_to_invariant,
-    reduced_cost,
-    reduced_rhs,
 )
 
 __version__ = "0.1.0"

@@ -1,66 +1,19 @@
-"""Hot numerical kernels, compiled with numba when available.
+"""Hot numerical kernels of the dynamic-programming solve, in numpy.
 
-Pure-numpy fallbacks keep every routine usable without a working numba
-install; results agree to floating-point roundoff.  Kernels are written so
-that per-node work is independent, which makes the parallel versions
-deterministic regardless of thread count.
+Each kernel works on whole blocks of nodes at once.  There are no compiled
+or parallel kernels, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
-logger = logging.getLogger(__name__)
+# There is no compiled backend; perfbench records this flag with every run.
+HAVE_NUMBA = False
 
-try:
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    prange = range
-
-
-@njit(parallel=True, cache=True)
-def _sweep_numba(v, idx, wts, g, one_minus_lh, h):
-    nc, nu, s = idx.shape
-    v_new = np.empty(nc)
-    argmin = np.empty(nc, dtype=np.int32)
-    for i in prange(nc):
-        best = np.inf
-        best_u = 0
-        for l in range(nu):
-            acc = 0.0
-            for q in range(s):
-                acc += wts[i, l, q] * v[idx[i, l, q]]
-            val = one_minus_lh * acc + h * g[i, l]
-            if val < best:
-                best = val
-                best_u = l
-        v_new[i] = best
-        argmin[i] = best_u
-    return v_new, argmin
-
-
-def _sweep_numpy(v, idx, wts, g, one_minus_lh, h, chunk=100_000):
-    nc = idx.shape[0]
-    v_new = np.empty(nc)
-    argmin = np.empty(nc, dtype=np.int32)
-    for start in range(0, nc, chunk):
-        sl = slice(start, min(start + chunk, nc))
-        vals = one_minus_lh * np.einsum("ilq,ilq->il", wts[sl], v[idx[sl]]) + h * g[sl]
-        argmin[sl] = np.argmin(vals, axis=1).astype(np.int32)
-        v_new[sl] = np.take_along_axis(vals, argmin[sl][:, None], axis=1)[:, 0]
-    return v_new, argmin
+# Nodes per gather block of a sweep; bounds the memory of the gathered
+# (nodes, controls, r+1) temporaries on large grids.
+_SWEEP_CHUNK = 100_000
 
 
 def sweep(v, idx, wts, g, one_minus_lh, h):
@@ -70,91 +23,25 @@ def sweep(v, idx, wts, g, one_minus_lh, h):
     (ties resolve to the lowest index, hence the smallest control value
     when the control list is sorted ascending).
     """
-    if HAVE_NUMBA:
-        return _sweep_numba(v, idx, wts, g, one_minus_lh, h)
-    return _sweep_numpy(v, idx, wts, g, one_minus_lh, h)
-
-
-@njit(parallel=True, cache=True)
-def _guess_numba(nodes, a_eff, b_red, cubic, has_cubic, controls, disc, h, cost_cw, blow_sq):
-    nc, r = nodes.shape
-    nu = controls.size
-    n_steps = disc.size
-    vals = np.empty(nc)
-    blown = np.zeros(nc, dtype=np.bool_)
-    gmax = np.zeros(nc)
-    for i in prange(nc):
-        best = np.inf
-        gmax_i = 0.0
-        y = np.empty(r)
-        f = np.empty(r)
-        for l in range(nu):
-            u = controls[l]
-            for a in range(r):
-                y[a] = nodes[i, a]
-            acc = 0.0
-            ok = True
-            for k in range(n_steps):
-                sq = 0.0
-                for a in range(r):
-                    sq += y[a] * y[a]
-                gval = sq + cost_cw * u * u
-                if gval > gmax_i:
-                    gmax_i = gval
-                acc += disc[k] * gval * h
-                for a in range(r):
-                    s = b_red[a] * u
-                    for b in range(r):
-                        s += a_eff[a, b] * y[b]
-                    f[a] = s
-                if has_cubic:
-                    for a in range(r):
-                        s = 0.0
-                        for b in range(r):
-                            yb = y[b]
-                            for c in range(r):
-                                ybc = yb * y[c]
-                                for e in range(r):
-                                    s += cubic[a, b, c, e] * ybc * y[e]
-                        f[a] -= s
-                sq = 0.0
-                for a in range(r):
-                    y[a] += h * f[a]
-                    sq += y[a] * y[a]
-                if sq > blow_sq:
-                    ok = False
-                    break
-            if ok and acc < best:
-                best = acc
-        vals[i] = best
-        gmax[i] = gmax_i
-        if not np.isfinite(best):
-            blown[i] = True
-    return vals, blown, gmax
+    nc = idx.shape[0]
+    v_new = np.empty(nc)
+    argmin = np.empty(nc, dtype=np.int32)
+    for start in range(0, nc, _SWEEP_CHUNK):
+        sl = slice(start, min(start + _SWEEP_CHUNK, nc))
+        vals = one_minus_lh * np.einsum("ilq,ilq->il", wts[sl], v[idx[sl]]) + h * g[sl]
+        argmin[sl] = np.argmin(vals, axis=1).astype(np.int32)
+        v_new[sl] = np.take_along_axis(vals, argmin[sl][:, None], axis=1)[:, 0]
+    return v_new, argmin
 
 
 def guess_structured(nodes, a_eff, b_red, cubic, controls, lam, h, n_steps, cost_cw, blow_sq):
-    """Constant-control explicit-Euler cost minima for structured systems."""
+    """Constant-control explicit-Euler cost minima for structured systems.
+
+    Returns the per-node minimum over the controls of the discounted cost,
+    the nodes where every rollout blew up (their minimum is inf), and the
+    largest stage cost seen along each node's rollouts before blow-up.
+    """
     disc = np.exp(-lam * h * np.arange(n_steps))
-    has_cubic = cubic is not None
-    cubic_arr = cubic if has_cubic else np.zeros((1, 1, 1, 1))
-    if HAVE_NUMBA:
-        return _guess_numba(
-            np.ascontiguousarray(nodes),
-            np.ascontiguousarray(a_eff),
-            np.ascontiguousarray(b_red),
-            np.ascontiguousarray(cubic_arr),
-            has_cubic,
-            np.asarray(controls, dtype=float),
-            disc,
-            h,
-            cost_cw,
-            blow_sq,
-        )
-    return _guess_numpy(nodes, a_eff, b_red, cubic, controls, disc, h, cost_cw, blow_sq)
-
-
-def _guess_numpy(nodes, a_eff, b_red, cubic, controls, disc, h, cost_cw, blow_sq):
     nc = nodes.shape[0]
     best = np.full(nc, np.inf)
     gmax = np.zeros(nc)
@@ -162,7 +49,7 @@ def _guess_numpy(nodes, a_eff, b_red, cubic, controls, disc, h, cost_cw, blow_sq
         y = nodes.copy()
         acc = np.zeros(nc)
         alive = np.ones(nc, dtype=bool)
-        for k in range(disc.size):
+        for k in range(n_steps):
             g = np.einsum("ma,ma->m", y, y) + cost_cw * u * u
             np.maximum(gmax, np.where(alive, g, 0.0), out=gmax)
             acc[alive] += disc[k] * g[alive] * h
@@ -176,11 +63,6 @@ def _guess_numpy(nodes, a_eff, b_red, cubic, controls, disc, h, cost_cw, blow_sq
     return best, ~np.isfinite(best), gmax
 
 
-@njit(cache=True)
 def max_abs_diff(a, b):
-    m = 0.0
-    for i in range(a.size):
-        d = abs(a[i] - b[i])
-        if d > m:
-            m = d
-    return m
+    """Maximum-norm distance of two equal-length vectors (NaN if either holds a NaN)."""
+    return np.max(np.abs(a - b))

@@ -86,9 +86,7 @@ class RunConfig:
     node_budget: int = 5_000_000
     cache_budget: int = 200_000_000
     outdir: str = "runs"
-    seed: int = 0
     sample_hold: bool = False
-    threads: int | None = None
     factory: str | None = None
     control_box: tuple | None = None  # test2 override
     y0: tuple | None = None  # custom systems: initial state
@@ -594,8 +592,6 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--margin", type=float)
     p.add_argument("--clamp-policy", choices=["clamp", "reject"], dest="clamp_policy")
     p.add_argument("--guess-step", type=float, dest="guess_step")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--threads", type=int)
     p.add_argument("--sample-hold", action="store_const", const=True, dest="sample_hold")
     p.add_argument("-v", "--verbose", action="store_true")
 
@@ -623,13 +619,6 @@ def main(argv=None) -> int:
     }
     try:
         cfg = load_config(args.config, overrides)
-        if cfg.threads is not None:
-            try:
-                import numba
-
-                numba.set_num_threads(max(1, cfg.threads))
-            except ImportError:
-                pass
         _COMMANDS[args.command](cfg)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -290,11 +290,6 @@ def test2_initial_state(N: int) -> Array:
     return np.maximum(0.0, 0.5 * np.sin(np.pi * x))
 
 
-def eval_cost_density(sys: ControlledSystem, y: Array, u: float) -> float:
-    """Running-cost rate g(y, u) of a system."""
-    return sys.running_cost(y, u)
-
-
 def _as_control_callable(control) -> Callable[[float], float]:
     if callable(control):
         return control

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridBudgetError, InvalidPointError, NumericalError, ValidationError
-from .reduced import Hyperbox
+from .reduced import Hyperbox, clipped_arrivals
 
 Array = np.ndarray
 
@@ -172,13 +172,7 @@ def ensure_invariant_grid(
     grid = aligned_grid(box, target_diameter, node_budget, anchor)
     controls = np.asarray(list(controls), dtype=float)
     for _ in range(max_rounds):
-        nodes = grid.all_nodes()
-        lo_exc = np.zeros(grid.r)
-        hi_exc = np.zeros(grid.r)
-        for u in controls:
-            arrivals = nodes + h * rs.rhs_batch(nodes, float(u))
-            lo_exc = np.maximum(lo_exc, np.max(grid.box.lower - arrivals, axis=0))
-            hi_exc = np.maximum(hi_exc, np.max(arrivals - grid.box.upper, axis=0))
+        _, lo_exc, hi_exc = clipped_arrivals(rs, grid.box, grid.all_nodes(), controls, h)
         if not (np.any(lo_exc > 0) or np.any(hi_exc > 0)):
             return grid
 

@@ -8,7 +8,8 @@ The nodal fixed-point relation is
 with I the piecewise-linear interpolation of the grid.  Arrival points,
 their interpolation stencils and the stage costs are static across sweeps
 and precomputed into an :class:`ArrivalCache`; each Jacobi sweep is then a
-gather-and-minimize pass, a contraction with factor (1 - lam*h).
+numpy gather-and-minimize pass, a contraction with factor (1 - lam*h).
+There are no compiled or parallel kernels.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
 from .errors import CacheBudgetError, IntegrationFailure, NumericalError, ValidationError
 from .hjbgrid import SimplexGrid, interpolate, stencil_batch
 from .pod import PODBasis, project_coeffs
-from .reduced import InvarianceReport, ReducedSystem, clamp_to_domain
+from .reduced import InvarianceReport, ReducedSystem, clamp_to_domain, clipped_arrivals
 
 logger = logging.getLogger(__name__)
 
@@ -135,35 +136,18 @@ def build_arrival_cache(
         )
 
     nodes = grid.all_nodes()
-    width = grid.box.width
     indices = np.empty((nc, nu, grid.r + 1), dtype=np.int32)
     weights = np.empty((nc, nu, grid.r + 1))
     stage_cost = np.empty((nc, nu))
-    violations = 0
-    max_rel = np.zeros(grid.r)
 
-    for l, u in enumerate(vals):
-        for start in range(0, nc, chunk):
-            sl = slice(start, min(start + chunk, nc))
-            block = nodes[sl]
-            arrivals = block + h * rs.rhs_batch(block, float(u))
-            clamped = grid.box.clip(arrivals)
-            disp = np.abs(clamped - arrivals) / width
-            bad = np.any(disp > 0.0, axis=1)
-            violations += int(np.count_nonzero(bad))
-            if disp.size:
-                max_rel = np.maximum(max_rel, disp.max(axis=0))
-            idx, wts = stencil_batch(grid, clamped)
-            indices[sl, l, :] = idx
-            weights[sl, l, :] = wts
-            stage_cost[sl, l] = rs.cost_batch(block, float(u))
+    def freeze(l, rows, clipped):
+        indices[rows, l, :], weights[rows, l, :] = stencil_batch(grid, clipped)
+        stage_cost[rows, l] = rs.cost_batch(nodes[rows], float(vals[l]))
 
-    report = InvarianceReport(
-        checked=nc * nu, violations=violations, max_rel_displacement=max_rel
-    )
-    if clamp_policy == "reject" and violations:
+    report, _, _ = clipped_arrivals(rs, grid.box, nodes, vals, h, visit=freeze, chunk=chunk)
+    if clamp_policy == "reject" and report.violations:
         raise NumericalError(
-            f"invariance violated at {violations} of {nc * nu} arrival points "
+            f"invariance violated at {report.violations} of {nc * nu} arrival points "
             "(clamp policy 'reject')"
         )
     return ArrivalCache(
@@ -343,15 +327,20 @@ class FeedbackPolicy:
         return float(np.clip(u, *self.control_box))
 
 
-def feedback(basis: PODBasis, grid: SimplexGrid, table: ControlTable, y: Array) -> float:
-    """Feedback control at a full state from a solved control table."""
+def _policy(basis: PODBasis, grid: SimplexGrid, table: ControlTable) -> FeedbackPolicy:
+    """Feedback law of a control table, clipped to the span of its control set."""
     if grid.node_count != table.grid.node_count or not np.array_equal(
         grid.cells_per_axis, table.grid.cells_per_axis
     ):
         raise ValidationError("grid does not match the control table")
     lo = float(table.control_set.values[0])
     hi = float(table.control_set.values[-1])
-    return FeedbackPolicy(basis=basis, table=table, control_box=(lo, hi))(y)
+    return FeedbackPolicy(basis=basis, table=table, control_box=(lo, hi))
+
+
+def feedback(basis: PODBasis, grid: SimplexGrid, table: ControlTable, y: Array) -> float:
+    """Feedback control at a full state from a solved control table."""
+    return _policy(basis, grid, table)(y)
 
 
 def _integrate_with_policy(
@@ -398,10 +387,9 @@ def simulate_closed_loop(
 
     By default the feedback is evaluated continuously (at every rhs call);
     with ``sample_hold`` the control is frozen over each sampling interval.
+    Raises :class:`ValidationError` if ``grid`` does not match the table.
     """
-    lo = float(table.control_set.values[0])
-    hi = float(table.control_set.values[-1])
-    policy = FeedbackPolicy(basis=basis, table=table, control_box=(lo, hi))
+    policy = _policy(basis, grid, table)
     n_samp = int(round(t_e / sample_dt))
     sample_times = np.linspace(0.0, t_e, n_samp + 1)
     if not sample_hold:

@@ -161,16 +161,6 @@ class ReducedSystem:
         return out
 
 
-def reduced_rhs(rs: ReducedSystem, y_r: Array, u: float) -> Array:
-    """Reduced vector field at a single reduced state."""
-    return rs.rhs(y_r, u)
-
-
-def reduced_cost(rs: ReducedSystem, y_r: Array, u: float) -> float:
-    """Reduced running-cost rate at a single reduced state."""
-    return rs.cost(y_r, u)
-
-
 def build_domain(
     basis: PODBasis, snap: SnapshotSet, r: int, margin: float = 0.0
 ) -> Hyperbox:
@@ -306,6 +296,51 @@ def grow_to_invariant(
     return Hyperbox(lower, upper)
 
 
+def clipped_arrivals(
+    rs: ReducedSystem,
+    box: Hyperbox,
+    nodes: Array,
+    controls,
+    h: float,
+    visit=None,
+    chunk: int = 200_000,
+) -> tuple[InvarianceReport, Array, Array]:
+    """Clip the arrivals ``y + h f_r(y, u)`` of every node/control pair to the box.
+
+    Controls are taken in order, nodes in blocks of at most ``chunk`` rows;
+    ``visit(l, rows, clipped)`` (if given) receives each control index, the
+    slice of node rows and their clipped arrivals.  Returns the invariance
+    report of all pairs and, per axis, the farthest an arrival fell below
+    the lower face and rose above the upper face (zero where none did).
+    """
+    if h <= 0:
+        raise ValidationError("step h must be positive")
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    width = box.width
+    checked = 0
+    violations = 0
+    max_rel = np.zeros(box.r)
+    below = np.zeros(box.r)
+    above = np.zeros(box.r)
+    for l, u in enumerate(controls):
+        for start in range(0, nodes.shape[0], chunk):
+            rows = slice(start, min(start + chunk, nodes.shape[0]))
+            block = nodes[rows]
+            arrivals = block + h * rs.rhs_batch(block, float(u))
+            clipped = box.clip(arrivals)
+            shift = clipped - arrivals
+            disp = np.abs(shift) / width
+            checked += block.shape[0]
+            violations += int(np.count_nonzero(np.any(disp > 0.0, axis=1)))
+            max_rel = np.maximum(max_rel, disp.max(axis=0))
+            below = np.maximum(below, shift.max(axis=0))
+            above = np.maximum(above, -shift.min(axis=0))
+            if visit is not None:
+                visit(l, rows, clipped)
+    report = InvarianceReport(checked=checked, violations=violations, max_rel_displacement=max_rel)
+    return report, below, above
+
+
 def check_invariance(
     rs: ReducedSystem,
     box: Hyperbox,
@@ -315,22 +350,4 @@ def check_invariance(
     chunk: int = 200_000,
 ) -> InvarianceReport:
     """Test ``y + h f_r(y, u)`` against the box for every node/control pair."""
-    if h <= 0:
-        raise ValidationError("step h must be positive")
-    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
-    width = box.width
-    checked = 0
-    violations = 0
-    max_rel = np.zeros(box.r)
-    for u in controls:
-        for start in range(0, nodes.shape[0], chunk):
-            block = nodes[start : start + chunk]
-            arrivals = block + h * rs.rhs_batch(block, float(u))
-            clamped = box.clip(arrivals)
-            disp = np.abs(clamped - arrivals) / width
-            bad = np.any(disp > 0.0, axis=1)
-            checked += block.shape[0]
-            violations += int(np.count_nonzero(bad))
-            if disp.size:
-                max_rel = np.maximum(max_rel, disp.max(axis=0))
-    return InvarianceReport(checked=checked, violations=violations, max_rel_displacement=max_rel)
+    return clipped_arrivals(rs, box, nodes, controls, h, chunk=chunk)[0]

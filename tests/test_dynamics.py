@@ -90,16 +90,16 @@ class TestBuildTest2:
 class TestCostDensity:
     def test_zero(self):
         sys1 = hp.build_test1(10)
-        assert hp.eval_cost_density(sys1, np.zeros(9), 0.0) == 0.0
+        assert sys1.running_cost(np.zeros(9), 0.0) == 0.0
 
     def test_pure_control(self):
         sys1 = hp.build_test1(10)
-        assert hp.eval_cost_density(sys1, np.zeros(9), 10.0) == pytest.approx(1.0, abs=1e-15)
+        assert sys1.running_cost(np.zeros(9), 10.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_ones_vector(self):
         N = 20
         sys1 = hp.build_test1(N)
-        got = hp.eval_cost_density(sys1, np.ones(N - 1), 0.0)
+        got = sys1.running_cost(np.ones(N - 1), 0.0)
         assert got == pytest.approx((N - 1) / N, abs=1e-14)
 
 

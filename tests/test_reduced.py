@@ -3,7 +3,7 @@ import pytest
 
 import hjbpod as hp
 from hjbpod.errors import ValidationError
-from hjbpod.reduced import Hyperbox, ReducedSystem, grow_to_invariant
+from hjbpod.reduced import Hyperbox, ReducedSystem, clipped_arrivals, grow_to_invariant
 
 from conftest import make_scalar_integrator_system, random_snapshot_set
 
@@ -20,7 +20,7 @@ class TestReducedRhs:
         basis = hp.identity_basis(np.ones(1))
         rs = ReducedSystem(basis, sys_t, 1)
         y = rng.normal(size=1)
-        np.testing.assert_array_equal(hp.reduced_rhs(rs, y, 0.3), sys_t.rhs(y, 0.3))
+        np.testing.assert_array_equal(rs.rhs(y, 0.3), sys_t.rhs(y, 0.3))
 
     def test_zero_field(self):
         sys0 = hp.ControlledSystem(
@@ -28,14 +28,14 @@ class TestReducedRhs:
             weight=np.ones(2), control_box=(-1, 1), label="null",
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(2)), sys0, 2)
-        assert np.all(hp.reduced_rhs(rs, np.array([1.0, -2.0]), 0.5) == 0.0)
+        assert np.all(rs.rhs(np.array([1.0, -2.0]), 0.5) == 0.0)
 
     def test_compositional_oracle(self, test1_bundle, test1_reduced, rng):
         sys1, _, basis = test1_bundle
         for _ in range(5):
             y_r = rng.normal(size=4) * 0.3
             via_ops = hp.project_coeffs(basis, sys1.rhs(hp.lift(basis, y_r), 0.0), 4)
-            got = hp.reduced_rhs(test1_reduced, y_r, 0.0)
+            got = test1_reduced.rhs(y_r, 0.0)
             np.testing.assert_allclose(got, via_ops, rtol=0, atol=1e-14)
 
     def test_fast_batch_matches_composition(self, test1_reduced, rng):
@@ -56,16 +56,16 @@ class TestReducedRhs:
 
 class TestReducedCost:
     def test_zero_state_zero_control(self, test1_reduced):
-        assert hp.reduced_cost(test1_reduced, np.zeros(4), 0.0) == 0.0
+        assert test1_reduced.cost(np.zeros(4), 0.0) == 0.0
 
     def test_pure_control(self, test1_reduced):
-        assert hp.reduced_cost(test1_reduced, np.zeros(4), 10.0) == pytest.approx(1.0)
+        assert test1_reduced.cost(np.zeros(4), 10.0) == pytest.approx(1.0)
 
     def test_equals_cost_density_on_lift(self, test1_bundle, test1_reduced, rng):
         sys1, _, basis = test1_bundle
         y_r = rng.normal(size=4) * 0.2
-        expected = hp.eval_cost_density(sys1, hp.lift(basis, y_r), 0.4)
-        assert hp.reduced_cost(test1_reduced, y_r, 0.4) == expected
+        expected = sys1.running_cost(hp.lift(basis, y_r), 0.4)
+        assert test1_reduced.cost(y_r, 0.4) == expected
 
 
 class TestBuildDomain:
@@ -174,6 +174,31 @@ class TestCheckInvariance:
         rep = hp.check_invariance(rs, box, np.array([[1.0]]), [0.0], 0.5)
         assert rep.violations == 1
         np.testing.assert_allclose(rep.max_rel_displacement, [0.5])
+
+    def test_face_excess_and_visited_blocks(self):
+        # f = u: with h = 0.5, u = -1 leaves the unit box 0.5 below, u = 2
+        # leaves it 1.0 above.
+        sys_u = hp.ControlledSystem(
+            n=1, rhs=lambda y, u: np.full(1, u), running_cost=lambda y, u: 0.0,
+            weight=np.ones(1), control_box=(-1, 2), label="push",
+            rhs_batch=lambda Y, u: np.full(np.shape(Y), float(u)),
+        )
+        rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys_u, 1)
+        box = Hyperbox(np.zeros(1), np.ones(1))
+        seen = []
+        rep, below, above = clipped_arrivals(
+            rs, box, np.array([[0.0], [1.0]]), [-1.0, 2.0], 0.5,
+            visit=lambda l, rows, clipped: seen.append((l, rows, clipped.ravel().tolist())),
+            chunk=1,
+        )
+        assert (rep.checked, rep.violations) == (4, 2)
+        np.testing.assert_array_equal(below, [0.5])
+        np.testing.assert_array_equal(above, [1.0])
+        np.testing.assert_array_equal(rep.max_rel_displacement, [1.0])
+        assert seen == [
+            (0, slice(0, 1), [0.0]), (0, slice(1, 2), [0.5]),
+            (1, slice(0, 1), [1.0]), (1, slice(1, 2), [1.0]),
+        ]
 
 
 class TestProjectionNormChain:
