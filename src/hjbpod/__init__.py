@@ -37,7 +37,6 @@ from .hjbsolve import (
     ValueFunction,
     build_arrival_cache,
     evaluate_cost,
-    feedback,
     initial_value_guess,
     simulate_closed_loop,
     sweep_once,
@@ -62,8 +61,8 @@ from .reduced import (
     InvarianceReport,
     ReducedSystem,
     build_domain,
-    check_invariance,
     clamp_to_domain,
+    clipped_arrivals,
     grow_to_invariant,
 )
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dynamics, hjbsolve, lqr, pod, reduced
 from .errors import HjbPodError, NumericalError, ValidationError
-from .hjbgrid import SimplexGrid, aligned_grid, ensure_invariant_grid
+from .hjbgrid import SimplexGrid, aligned_grid, ensure_invariant_grid, grid_from_edge
 from .reduced import Hyperbox
 
 logger = logging.getLogger(__name__)
@@ -231,37 +231,30 @@ def _grid_payload(grid: SimplexGrid) -> dict:
 
 def _grid_from_payload(payload: dict) -> SimplexGrid:
     box = Hyperbox(np.array(payload["lower"]), np.array(payload["upper"]))
-    cells = np.array(payload["cells_per_axis"], dtype=np.int64)
-    edge = box.width / cells
-    return SimplexGrid(
-        box=box,
-        cells_per_axis=cells,
-        edge=edge,
-        node_count=int(np.prod(cells + 1)),
-        k_r=float(np.sqrt(np.dot(edge, edge))),
-    )
+    # the stored grid already met its budget when it was solved
+    return grid_from_edge(box, np.array(payload["edge"]), node_budget=payload["node_count"])
 
 
 def _write_spectrum(path: Path, eigvals: np.ndarray) -> None:
     write_csv(path, ["k", "lambda_k"], [np.arange(1, eigvals.size + 1), eigvals])
 
 
-def _load_solution(out: Path, r: int):
+def _load_solution(out: Path, r: int) -> hjbsolve.ControlTable:
+    """The control table solved at rank ``r``, on the grid it was solved on."""
     npz_path = out / f"solve_r{r}.npz"
     meta_path = out / f"meta_r{r}.json"
     if not npz_path.exists() or not meta_path.exists():
         raise ValidationError(f"missing solve artifacts for r={r} in {out} (run 'solve' first)")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    grid = _grid_from_payload(meta["grid"])
     with np.load(npz_path) as data:
-        values = data["values"]
         controls = data["controls"]
         control_values = data["control_values"]
-    table = hjbsolve.ControlTable(
-        grid=grid, controls=controls, control_set=hjbsolve.ControlSet(control_values)
+    return hjbsolve.ControlTable(
+        grid=_grid_from_payload(meta["grid"]),
+        controls=controls,
+        control_set=hjbsolve.ControlSet(control_values),
     )
-    return grid, values, table, meta
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +427,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     """Closed-loop simulation under the solved policy plus uncontrolled reference."""
     out = _outdir(cfg)
     basis = pod.load_basis(out / "basis.npz")
-    grid, _, table, _ = _load_solution(out, cfg.r)
+    table = _load_solution(out, cfg.r)
     sys_obj = cfg.system()
     y0 = cfg.initial_state(sys_obj)
     icfg = cfg.integrator()
@@ -442,7 +435,6 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     traj = hjbsolve.simulate_closed_loop(
         sys_obj,
         basis,
-        grid,
         table,
         y0,
         cfg.t_e,

@@ -33,9 +33,8 @@ class SystemStructure:
     """Optional algebraic structure of a system's right-hand side.
 
     When present, ``rhs(y, u) == linear @ y + nonlin(y) + u * control_gain``
-    with ``nonlin`` selected by tag.  Accelerated evaluation paths (reduced
-    operators, compiled kernels) key off this; the callable ``rhs`` remains
-    the source of truth.
+    with ``nonlin`` selected by tag.  The exact reduced operators key off
+    this; the callable ``rhs`` remains the source of truth.
     """
 
     linear: Array
@@ -290,13 +289,6 @@ def test2_initial_state(N: int) -> Array:
     return np.maximum(0.0, 0.5 * np.sin(np.pi * x))
 
 
-def _as_control_callable(control) -> Callable[[float], float]:
-    if callable(control):
-        return control
-    value = float(control)
-    return lambda t: value
-
-
 def integrate(
     sys: ControlledSystem,
     y0: Array,
@@ -306,18 +298,26 @@ def integrate(
     sample_times: Sequence[float] | None = None,
     with_derivatives: bool = False,
 ) -> Trajectory:
-    """Integrate ``y' = f(y, u(t))`` and sample the solution.
+    """Integrate ``y' = f(y, u)`` and sample the solution.
 
-    ``control`` is a scalar (held constant) or a callable of time.  Sampled
-    derivative entries, when requested, are rhs evaluations at the sampled
-    states.  Raises :class:`IntegrationFailure` carrying the failure time
-    if the solver cannot complete the span.
+    ``control`` is a scalar (held constant) or a state feedback ``u(y)``.
+    A feedback closes the loop: the system Jacobian lacks its term, so the
+    stiff solver then differences the closed-loop rhs instead.  Sampled
+    controls are the controls at the sampled states; sampled derivatives,
+    when requested, are rhs evaluations there.  Raises
+    :class:`IntegrationFailure` carrying the failure time if the solver
+    cannot complete the span.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:
         raise ValidationError("t_span must satisfy t0 <= t1")
-    u_of_t = _as_control_callable(control)
+    if callable(control):
+        law, jac = control, None
+    else:
+        value = float(control)
+        law = lambda y: value
+        jac = None if sys.jacobian is None else (lambda t, y: sys.jacobian(y, value))
     y0 = np.asarray(y0, dtype=float)
 
     if sample_times is None:
@@ -327,48 +327,35 @@ def integrate(
         raise ValidationError("sample_times must lie within t_span")
 
     if t1 == t0:
+        ts = np.array([t0])
         states = y0[None, :].copy()
-        controls = np.array([u_of_t(t0)], dtype=float)
-        derivs = None
-        if with_derivatives:
-            derivs = np.asarray(sys.rhs(y0, controls[0]), dtype=float)[None, :]
-        return Trajectory(np.array([t0]), states, controls, derivs)
-
-    def fun(t, y):
-        return sys.rhs(y, u_of_t(t))
-
-    kwargs = {}
-    if cfg.method == "stiff":
-        method = "LSODA"
-        if sys.jacobian is not None:
-            kwargs["jac"] = lambda t, y: sys.jacobian(y, u_of_t(t))
     else:
-        method = "RK45"
+        method = "LSODA" if cfg.method == "stiff" else "RK45"
+        kwargs = {"jac": jac} if method == "LSODA" and jac is not None else {}
+        sol = solve_ivp(
+            lambda t, y: sys.rhs(y, law(y)),
+            (t0, t1),
+            y0,
+            method=method,
+            dense_output=True,
+            rtol=cfg.rel_tol,
+            atol=cfg.abs_tol,
+            max_step=cfg.max_step,
+            **kwargs,
+        )
+        if not sol.success:
+            t_fail = float(sol.t[-1]) if sol.t.size else t0
+            y_fail = sol.y[:, -1] if sol.t.size else y0
+            raise IntegrationFailure(f"integration failed: {sol.message}", t_fail, y_fail)
+        states = np.ascontiguousarray(sol.sol(ts).T)
 
-    sol = solve_ivp(
-        fun,
-        (t0, t1),
-        y0,
-        method=method,
-        dense_output=True,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-        **kwargs,
-    )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else t0
-        y_fail = sol.y[:, -1] if sol.t.size else y0
-        raise IntegrationFailure(f"integration failed: {sol.message}", t_fail, y_fail)
-
-    states = np.ascontiguousarray(sol.sol(ts).T)
-    controls = np.array([u_of_t(t) for t in ts], dtype=float)
+    controls = np.array([law(y) for y in states], dtype=float)
     derivs = None
     if with_derivatives:
         derivs = np.empty_like(states)
         for k in range(states.shape[0]):
             derivs[k] = sys.rhs(states[k], controls[k])
-    return Trajectory(np.asarray(ts, dtype=float), states, controls, derivs)
+    return Trajectory(ts, states, controls, derivs)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

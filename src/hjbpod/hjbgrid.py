@@ -71,6 +71,25 @@ class Stencil:
             raise ValidationError("stencil weights must be a convex combination")
 
 
+def grid_from_edge(box: Hyperbox, edge: Array, node_budget: int = 5_000_000) -> SimplexGrid:
+    """Lattice of the given cell edge over a box whose widths are whole multiples of it.
+
+    Raises :class:`GridBudgetError` if the lattice has more than
+    ``node_budget`` nodes.
+    """
+    cells = np.round(box.width / edge).astype(np.int64)
+    node_count = int(np.prod(cells + 1))
+    if node_count > node_budget:
+        raise GridBudgetError(node_count, node_budget)
+    return SimplexGrid(
+        box=box,
+        cells_per_axis=cells,
+        edge=edge,
+        node_count=node_count,
+        k_r=float(np.sqrt(np.dot(edge, edge))),
+    )
+
+
 def build_grid(
     box: Hyperbox, target_diameter: float, node_budget: int = 5_000_000
 ) -> SimplexGrid:
@@ -106,18 +125,7 @@ def build_grid(
             counts[i] += 1
         if best_axis < 0:
             break
-
-    node_count = int(np.prod(counts + 1))
-    if node_count > node_budget:
-        raise GridBudgetError(node_count, node_budget)
-    edge = width / counts
-    return SimplexGrid(
-        box=box,
-        cells_per_axis=counts,
-        edge=edge,
-        node_count=node_count,
-        k_r=float(np.sqrt(np.dot(edge, edge))),
-    )
+    return grid_from_edge(box, width / counts, node_budget)
 
 
 def aligned_grid(
@@ -133,21 +141,10 @@ def aligned_grid(
     the target state is then a nodal value instead of a mixture of
     neighboring cells.
     """
-    base = build_grid(box, target_diameter, node_budget)
-    edge = base.edge
+    edge = build_grid(box, target_diameter, node_budget).edge
     lower = anchor + np.floor((box.lower - anchor) / edge + 1e-9) * edge
     upper = anchor + np.ceil((box.upper - anchor) / edge - 1e-9) * edge
-    cells = np.round((upper - lower) / edge).astype(np.int64)
-    node_count = int(np.prod(cells + 1))
-    if node_count > node_budget:
-        raise GridBudgetError(node_count, node_budget)
-    return SimplexGrid(
-        box=Hyperbox(lower, upper),
-        cells_per_axis=cells,
-        edge=edge,
-        node_count=node_count,
-        k_r=base.k_r,
-    )
+    return grid_from_edge(Hyperbox(lower, upper), edge, node_budget)
 
 
 def ensure_invariant_grid(
@@ -183,17 +180,7 @@ def ensure_invariant_grid(
 
         lower = grid.box.lower - edge_steps(lo_exc) * grid.edge
         upper = grid.box.upper + edge_steps(hi_exc) * grid.edge
-        cells = np.round((upper - lower) / grid.edge).astype(np.int64)
-        node_count = int(np.prod(cells + 1))
-        if node_count > node_budget:
-            raise GridBudgetError(node_count, node_budget)
-        grid = SimplexGrid(
-            box=Hyperbox(lower, upper),
-            cells_per_axis=cells,
-            edge=grid.edge,
-            node_count=node_count,
-            k_r=grid.k_r,
-        )
+        grid = grid_from_edge(Hyperbox(lower, upper), grid.edge, node_budget)
     raise NumericalError(
         "could not reach an invariant grid box; the dynamics keep escaping "
         "(consider clamp mode instead)"

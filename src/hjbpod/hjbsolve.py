@@ -19,14 +19,13 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import _accel
 from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
-from .errors import CacheBudgetError, IntegrationFailure, NumericalError, ValidationError
+from .errors import CacheBudgetError, NumericalError, ValidationError
 from .hjbgrid import SimplexGrid, interpolate, stencil_batch
 from .pod import PODBasis, project_coeffs
-from .reduced import InvarianceReport, ReducedSystem, clamp_to_domain, clipped_arrivals
+from .reduced import InvarianceReport, ReducedSystem, clipped_arrivals
 
 logger = logging.getLogger(__name__)
 
@@ -310,72 +309,25 @@ def initial_value_guess(
 class FeedbackPolicy:
     """Interpolated nodal-argmin feedback law as a state-space operator.
 
-    Applies coefficient projection, clamps into the grid box, interpolates
-    the control table with the simplex stencil weights, and clips to the
-    admissible control interval.
+    Applies coefficient projection, clamps into the box of the table's
+    grid, interpolates the control table with the simplex stencil weights,
+    and clips to the span of the table's control set.
     """
 
     basis: PODBasis
     table: ControlTable
-    control_box: tuple[float, float]
 
     def __call__(self, y: Array) -> float:
         grid = self.table.grid
         coeffs = project_coeffs(self.basis, y, grid.r)
-        clamped, _ = clamp_to_domain(grid.box, coeffs)
-        u = interpolate(grid, self.table.controls, clamped)
-        return float(np.clip(u, *self.control_box))
-
-
-def _policy(basis: PODBasis, grid: SimplexGrid, table: ControlTable) -> FeedbackPolicy:
-    """Feedback law of a control table, clipped to the span of its control set."""
-    if grid.node_count != table.grid.node_count or not np.array_equal(
-        grid.cells_per_axis, table.grid.cells_per_axis
-    ):
-        raise ValidationError("grid does not match the control table")
-    lo = float(table.control_set.values[0])
-    hi = float(table.control_set.values[-1])
-    return FeedbackPolicy(basis=basis, table=table, control_box=(lo, hi))
-
-
-def feedback(basis: PODBasis, grid: SimplexGrid, table: ControlTable, y: Array) -> float:
-    """Feedback control at a full state from a solved control table."""
-    return _policy(basis, grid, table)(y)
-
-
-def _integrate_with_policy(
-    sys: ControlledSystem,
-    policy,
-    y0: Array,
-    t_e: float,
-    cfg: IntegratorConfig | None,
-    sample_times: Array,
-) -> Trajectory:
-    cfg = cfg or IntegratorConfig()
-    method = "LSODA" if cfg.method == "stiff" else "RK45"
-    sol = solve_ivp(
-        lambda t, y: sys.rhs(y, policy(y)),
-        (0.0, t_e),
-        np.asarray(y0, dtype=float),
-        method=method,
-        dense_output=True,
-        rtol=cfg.rel_tol,
-        atol=cfg.abs_tol,
-        max_step=cfg.max_step,
-    )
-    if not sol.success:
-        t_fail = float(sol.t[-1]) if sol.t.size else 0.0
-        y_fail = sol.y[:, -1] if sol.t.size else np.asarray(y0)
-        raise IntegrationFailure(f"closed-loop integration failed: {sol.message}", t_fail, y_fail)
-    states = np.ascontiguousarray(sol.sol(sample_times).T)
-    controls = np.array([policy(states[k]) for k in range(states.shape[0])])
-    return Trajectory(np.asarray(sample_times, dtype=float), states, controls)
+        u = interpolate(grid, self.table.controls, grid.box.clip(coeffs))
+        values = self.table.control_set.values
+        return float(np.clip(u, values[0], values[-1]))
 
 
 def simulate_closed_loop(
     sys: ControlledSystem,
     basis: PODBasis,
-    grid: SimplexGrid,
     table: ControlTable,
     y0: Array,
     t_e: float,
@@ -385,15 +337,15 @@ def simulate_closed_loop(
 ) -> Trajectory:
     """Integrate the closed loop ``y' = f(y, Phi(y))`` and sample it.
 
+    ``Phi`` is the :class:`FeedbackPolicy` of the table on its own grid.
     By default the feedback is evaluated continuously (at every rhs call);
     with ``sample_hold`` the control is frozen over each sampling interval.
-    Raises :class:`ValidationError` if ``grid`` does not match the table.
     """
-    policy = _policy(basis, grid, table)
+    policy = FeedbackPolicy(basis, table)
     n_samp = int(round(t_e / sample_dt))
     sample_times = np.linspace(0.0, t_e, n_samp + 1)
     if not sample_hold:
-        return _integrate_with_policy(sys, policy, y0, t_e, cfg, sample_times)
+        return integrate(sys, y0, policy, (0.0, t_e), cfg, sample_times)
 
     cfg = cfg or IntegratorConfig()
     states = [np.asarray(y0, dtype=float)]

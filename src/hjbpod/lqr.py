@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .dynamics import ControlledSystem, IntegratorConfig, Trajectory
+from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
 from .errors import CareSolveError, ValidationError
-from .hjbsolve import _integrate_with_policy
 
 Array = np.ndarray
 
@@ -153,9 +152,7 @@ def simulate_lqr(
     """Closed-loop trajectory under the (unclipped) LQR feedback law."""
     n_samp = int(round(t_e / sample_dt))
     sample_times = np.linspace(0.0, t_e, n_samp + 1)
-    return _integrate_with_policy(
-        sys, lambda y: lqr_feedback(care, y), y0, t_e, cfg, sample_times
-    )
+    return integrate(sys, y0, lambda y: lqr_feedback(care, y), (0.0, t_e), cfg, sample_times)
 
 
 @dataclass(frozen=True)

@@ -184,7 +184,7 @@ def generate_snapshots(
     return SnapshotSet(
         p=controls.size,
         M=M,
-        dt=float(dt) if T > 0 else float(dt),
+        dt=float(dt),
         states=states,
         derivs=derivs,
         controls=controls,

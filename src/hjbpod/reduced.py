@@ -266,7 +266,7 @@ def grow_to_invariant(
     outermost equilibrium found, a monotone fixed-point iteration.  The
     result makes arrival points of the discrete dynamics stay inside for
     any step size (up to lattice sampling of the faces; verify on the real
-    grid and polish with :func:`check_invariance` statistics if needed).
+    grid and polish with :func:`clipped_arrivals` statistics if needed).
     """
     controls = np.asarray(list(controls), dtype=float)
     u_ends = np.array([controls.min(), controls.max()])
@@ -339,15 +339,3 @@ def clipped_arrivals(
                 visit(l, rows, clipped)
     report = InvarianceReport(checked=checked, violations=violations, max_rel_displacement=max_rel)
     return report, below, above
-
-
-def check_invariance(
-    rs: ReducedSystem,
-    box: Hyperbox,
-    nodes: Array,
-    controls,
-    h: float,
-    chunk: int = 200_000,
-) -> InvarianceReport:
-    """Test ``y + h f_r(y, u)`` against the box for every node/control pair."""
-    return clipped_arrivals(rs, box, nodes, controls, h, chunk=chunk)[0]

@@ -209,7 +209,7 @@ def test_criterion_06_test1_reproduction(test1_solution):
 
     y0 = hp.test1_initial_state(100)
     icfg = hp.IntegratorConfig()
-    traj = hp.simulate_closed_loop(sys1, basis, grid, table, y0, 3.0, icfg, sample_dt=0.05)
+    traj = hp.simulate_closed_loop(sys1, basis, table, y0, 3.0, icfg, sample_dt=0.05)
     unc = hp.integrate(sys1, y0, 0.0, (0.0, 3.0), icfg, traj.times)
     cost_hjb = hp.evaluate_cost(sys1, traj, 1.0)
     cost_unc = hp.evaluate_cost(sys1, unc, 1.0)
@@ -235,7 +235,7 @@ def test_rhs_diagnostic_on_closed_loop(test1_solution):
     sys1, snap, basis, rs, grid, cache, vf, table = test1_solution
     y0 = hp.test1_initial_state(100)
     traj = hp.simulate_closed_loop(
-        sys1, basis, grid, table, y0, 3.0, hp.IntegratorConfig(), sample_dt=0.05
+        sys1, basis, table, y0, 3.0, hp.IntegratorConfig(), sample_dt=0.05
     )
     series = hp.rhs_projection_diagnostic(basis, sys1, traj, 4, snap=snap)
     assert np.all(np.isfinite(series.residual))
@@ -255,13 +255,13 @@ def test_criterion_07_test2_lqr_agreement(test2_solution):
 
     rs, grid, cache, vf, table = solutions[4]
     assert vf.converged
-    traj4 = hp.simulate_closed_loop(sys2, basis, grid, table, y0, 3.0, icfg, sample_dt=0.05)
+    traj4 = hp.simulate_closed_loop(sys2, basis, table, y0, 3.0, icfg, sample_dt=0.05)
     comp4 = compare_controls(traj4.controls, traj_lqr.controls, traj4.times, traj_lqr.times)
     assert comp4.max <= 0.35
     assert comp4.median <= 0.15
 
     rs2, grid2, cache2, vf2, table2 = solutions[2]
-    traj2 = hp.simulate_closed_loop(sys2, basis, grid2, table2, y0, 3.0, icfg, sample_dt=0.05)
+    traj2 = hp.simulate_closed_loop(sys2, basis, table2, y0, 3.0, icfg, sample_dt=0.05)
     comp2 = compare_controls(traj2.controls, traj_lqr.controls, traj2.times, traj_lqr.times)
     assert np.all(np.isfinite(comp2.relative_error))  # may exceed 100%; must not fail
     elapsed = time.perf_counter() - t0

@@ -5,6 +5,8 @@ import pytest
 
 from hjbpod import cli
 from hjbpod.errors import ValidationError
+from hjbpod.hjbgrid import aligned_grid
+from hjbpod.reduced import Hyperbox
 
 
 def tiny_config(outdir, **extra):
@@ -177,6 +179,24 @@ def make_custom_system(config):
             linear=A, control_gain=b, nonlinearity=None, quadratic_cost_control_weight=0.01
         ),
     )
+
+
+def test_grid_payload_round_trip(tmp_path):
+    # simulate must interpolate on the grid the table was solved on, bit for
+    # bit: an edge recomputed as width / cells can differ in the last place
+    rng = np.random.default_rng(7)
+    path = tmp_path / "grid.json"
+    for _ in range(10):
+        lower = rng.uniform(-2.0, 0.0, size=3)
+        grid = aligned_grid(Hyperbox(lower, lower + rng.uniform(0.5, 3.0, size=3)), 0.3)
+        cli.write_json(path, cli._grid_payload(grid))
+        loaded = cli._grid_from_payload(json.loads(path.read_text()))
+        np.testing.assert_array_equal(loaded.box.lower, grid.box.lower)
+        np.testing.assert_array_equal(loaded.box.upper, grid.box.upper)
+        np.testing.assert_array_equal(loaded.cells_per_axis, grid.cells_per_axis)
+        np.testing.assert_array_equal(loaded.edge, grid.edge)
+        assert loaded.node_count == grid.node_count
+        assert loaded.k_r == grid.k_r
 
 
 def test_custom_system_pipeline(tmp_path):

@@ -6,7 +6,7 @@ import hjbpod as hp
 from hjbpod.dynamics import load_system, write_trajectory_csv
 from hjbpod.errors import InvalidDiscretizationError, ValidationError
 
-from conftest import make_decay_system
+from conftest import make_decay_system, make_scalar_integrator_system
 
 
 def dense_test1_operators(N):
@@ -141,10 +141,14 @@ class TestIntegrate:
         fine = hp.integrate(sys2, y0, -1.0, (0.0, 0.5), hp.IntegratorConfig(5e-9, 5e-9), samples)
         assert np.max(np.abs(coarse.states - fine.states)) < 1e-8 * 100
 
-    def test_time_dependent_control(self):
-        sys_d = make_decay_system()
-        traj = hp.integrate(sys_d, np.ones(1), lambda t: np.sin(t), (0.0, 1.0), None, [0.5, 1.0])
-        assert traj.controls[0] == pytest.approx(np.sin(0.5))
+    def test_state_feedback_control(self):
+        # ydot = u under the feedback u = -y decays as exp(-t).
+        sys_t = make_scalar_integrator_system()
+        cfg = hp.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
+        law = lambda y: -float(y[0])
+        traj = hp.integrate(sys_t, np.ones(1), law, (0.0, 1.0), cfg, [0.0, 0.5, 1.0])
+        np.testing.assert_allclose(traj.states[:, 0], np.exp(-traj.times), rtol=1e-8, atol=0)
+        np.testing.assert_array_equal(traj.controls, [law(y) for y in traj.states])
 
     def test_bad_span_rejected(self):
         sys_d = make_decay_system()

@@ -353,7 +353,7 @@ class TestFeedback:
         basis = toy_reduced.basis
         i = grid.node_count // 3
         y = hp.lift(basis, grid.all_nodes()[i])
-        assert hp.feedback(basis, grid, table, y) == table.controls[i]
+        assert hp.FeedbackPolicy(basis, table)(y) == table.controls[i]
 
     def test_constant_table(self, toy_reduced, toy_cache, rng):
         grid, cache = toy_cache
@@ -363,7 +363,7 @@ class TestFeedback:
         )
         for _ in range(5):
             y = rng.normal(size=1)
-            assert hp.feedback(toy_reduced.basis, grid, table, y) == 0.0
+            assert hp.FeedbackPolicy(toy_reduced.basis, table)(y) == 0.0
 
     def test_compositional_oracle(self, toy_reduced, toy_cache, rng):
         grid, cache = toy_cache
@@ -375,7 +375,7 @@ class TestFeedback:
             clamped, _ = hp.clamp_to_domain(grid.box, coeffs)
             manual = hp.interpolate(grid, table.controls, clamped)
             manual = float(np.clip(manual, -1.0, 1.0))
-            assert hp.feedback(basis, grid, table, y) == pytest.approx(manual, abs=1e-14)
+            assert hp.FeedbackPolicy(basis, table)(y) == pytest.approx(manual, abs=1e-14)
 
 
 class TestClosedLoop:
@@ -393,7 +393,7 @@ class TestClosedLoop:
         )
         y0 = hp.test2_initial_state(12)
         cfg = hp.IntegratorConfig(rel_tol=1e-10, abs_tol=1e-12)
-        traj = hp.simulate_closed_loop(sys2, basis, grid_stub, table, y0, 0.5, cfg, sample_dt=0.25)
+        traj = hp.simulate_closed_loop(sys2, basis, table, y0, 0.5, cfg, sample_dt=0.25)
         ref = hp.integrate(sys2, y0, 0.0, (0.0, 0.5), cfg, traj.times)
         np.testing.assert_allclose(traj.states, ref.states, atol=1e-8)
 
@@ -406,7 +406,7 @@ class TestClosedLoop:
         )
         sys_t = make_scalar_integrator_system()
         traj = hp.simulate_closed_loop(
-            sys_t, toy_reduced.basis, grid, table, np.array([1.0]), 1.0,
+            sys_t, toy_reduced.basis, table, np.array([1.0]), 1.0,
             hp.IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14), sample_dt=0.25,
         )
         assert abs(traj.states[-1, 0]) < 1e-9
@@ -420,22 +420,10 @@ class TestClosedLoop:
         )
         sys_t = make_scalar_integrator_system()
         traj = hp.simulate_closed_loop(
-            sys_t, toy_reduced.basis, grid, table, np.array([1.0]), 1.0,
+            sys_t, toy_reduced.basis, table, np.array([1.0]), 1.0,
             None, sample_dt=0.25, sample_hold=True,
         )
         assert abs(traj.states[-1, 0]) < 1e-9
-
-    def test_mismatched_grid_rejected(self, toy_reduced):
-        grid = toy_grid(diameter=0.5)
-        table = hp.ControlTable(
-            grid=grid, controls=np.full(grid.node_count, -1.0),
-            control_set=hp.ControlSet(np.array([-1.0])),
-        )
-        with pytest.raises(ValidationError, match="does not match"):
-            hp.simulate_closed_loop(
-                make_scalar_integrator_system(), toy_reduced.basis, toy_grid(diameter=0.25),
-                table, np.array([1.0]), 1.0,
-            )
 
 
 class TestEvaluateCost:

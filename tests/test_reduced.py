@@ -160,7 +160,7 @@ class TestCheckInvariance:
         rs = ReducedSystem(hp.identity_basis(np.ones(2)), sys0, 2)
         box = Hyperbox(np.zeros(2), np.ones(2))
         nodes = np.array([[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]])
-        rep = hp.check_invariance(rs, box, nodes, [-1.0, 1.0], 0.1)
+        rep = hp.clipped_arrivals(rs, box, nodes, [-1.0, 1.0], 0.1)[0]
         assert rep.violations == 0 and rep.checked == 6
 
     def test_hand_computed_violation(self):
@@ -171,7 +171,7 @@ class TestCheckInvariance:
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys1, 1)
         box = Hyperbox(np.zeros(1), np.ones(1))
-        rep = hp.check_invariance(rs, box, np.array([[1.0]]), [0.0], 0.5)
+        rep = hp.clipped_arrivals(rs, box, np.array([[1.0]]), [0.0], 0.5)[0]
         assert rep.violations == 1
         np.testing.assert_allclose(rep.max_rel_displacement, [0.5])
 
@@ -251,7 +251,7 @@ class TestGrowToInvariant:
         box = grow_to_invariant(rs, Hyperbox(np.array([-0.1]), np.array([0.1])), [-1.0, 1.0])
         assert box.lower[0] <= -1.0 <= 1.0 <= box.upper[0]
         nodes = np.linspace(box.lower[0], box.upper[0], 41)[:, None]
-        rep = hp.check_invariance(rs, box, nodes, [-1.0, 0.0, 1.0], 0.05)
+        rep = hp.clipped_arrivals(rs, box, nodes, [-1.0, 0.0, 1.0], 0.05)[0]
         assert rep.violations == 0
 
     def test_already_invariant_box_unchanged(self):
