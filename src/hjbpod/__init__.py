@@ -22,12 +22,10 @@ from .dynamics import (
 from .errors import HjbPodError, NumericalError, ValidationError
 from .hjbgrid import (
     SimplexGrid,
-    Stencil,
     aligned_grid,
     build_grid,
     ensure_invariant_grid,
     interpolate,
-    interpolation_stencil,
 )
 from .hjbsolve import (
     ArrivalCache,
@@ -61,7 +59,6 @@ from .reduced import (
     InvarianceReport,
     ReducedSystem,
     build_domain,
-    clamp_to_domain,
     clipped_arrivals,
     grow_to_invariant,
 )

@@ -462,8 +462,21 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     return out
 
 
+def _simulated_with(sim_path: Path, cfg: RunConfig) -> bool:
+    """Whether ``simulate`` last wrote ``sim_path`` under this resolved config."""
+    if not sim_path.exists():
+        return False
+    with open(sim_path) as fh:
+        stored = json.load(fh).get("config")
+    return stored == json.loads(json.dumps(cfg.resolved_dict(), default=_json_default))
+
+
 def cmd_compare_lqr(cfg: RunConfig) -> Path:
-    """LQR oracle run and HJB-vs-LQR error series for a linear-quadratic test."""
+    """LQR oracle run and HJB-vs-LQR error series for a linear-quadratic test.
+
+    Reuses the HJB trajectory of the run directory only if ``simulate`` wrote
+    it under this same resolved config; otherwise it simulates first.
+    """
     out = _outdir(cfg)
     sys_obj = cfg.system()
     A, B, Q, R = lqr.linear_quadratic_data(sys_obj, cfg.lam)
@@ -475,7 +488,7 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
     dynamics.write_trajectory_csv(traj_lqr, out / "trajectory_lqr.csv")
 
     hjb_path = out / f"trajectory_hjb_r{cfg.r}.csv"
-    if not hjb_path.exists():
+    if not (hjb_path.exists() and _simulated_with(out / f"simulate_r{cfg.r}.json", cfg)):
         cmd_simulate(cfg)
     data = np.loadtxt(hjb_path, delimiter=",", skiprows=1)
     t_hjb, states_hjb, u_hjb = data[:, 0], data[:, 1:-1], data[:, -1]

@@ -5,11 +5,19 @@ simplices by coordinate orderings; locating the simplex containing a point
 and computing its barycentric weights costs one sort of the fractional
 coordinates.  Piecewise-linear interpolation over this triangulation is
 exact on affine functions and monotone, with convex stencil weights.
+
+Two kernels compute the same stencils.  :func:`stencil_batch` is the
+vectorized one, for the arrival cache.  :func:`interpolate` evaluates one
+point on Python floats, as the closed-loop feedback does at every rhs
+call: the grid's lower corner, edge, top cell and strides are converted
+once per grid (cached on the :class:`SimplexGrid`), so a call does only
+the per-point work, the cell, the sort and the weighted sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,13 +45,25 @@ class SimplexGrid:
     def node_shape(self) -> tuple[int, ...]:
         return tuple(int(c) + 1 for c in self.cells_per_axis)
 
-    @property
+    @cached_property
     def strides(self) -> Array:
+        """Flat-index step per axis (C order); read-only, built once."""
         shape = self.node_shape
         strides = np.ones(self.r, dtype=np.int64)
         for i in range(self.r - 2, -1, -1):
             strides[i] = strides[i + 1] * shape[i + 1]
+        strides.flags.writeable = False
         return strides
+
+    @cached_property
+    def _point_constants(self) -> tuple[list, list, list, list]:
+        """Lower corner, edge, top cell index and strides as Python lists."""
+        return (
+            self.box.lower.tolist(),
+            self.edge.tolist(),
+            (self.cells_per_axis - 1).tolist(),
+            self.strides.tolist(),
+        )
 
     def axis_coords(self, axis: int) -> Array:
         return self.box.lower[axis] + self.edge[axis] * np.arange(self.node_shape[axis])
@@ -57,18 +77,6 @@ class SimplexGrid:
         grids = np.meshgrid(*[np.arange(s) for s in self.node_shape], indexing="ij")
         idx = np.stack([g.ravel() for g in grids], axis=1).astype(float)
         return self.box.lower + idx * self.edge
-
-
-@dataclass(frozen=True)
-class Stencil:
-    """Vertices and barycentric weights of the simplex containing a point."""
-
-    indices: Array  # (r+1,) flat node indices
-    weights: Array  # (r+1,) nonnegative, sum to 1
-
-    def __post_init__(self):
-        if np.any(self.weights < 0) or abs(float(np.sum(self.weights)) - 1.0) > 1e-12:
-            raise ValidationError("stencil weights must be a convex combination")
 
 
 def grid_from_edge(box: Hyperbox, edge: Array, node_budget: int = 5_000_000) -> SimplexGrid:
@@ -192,7 +200,9 @@ def stencil_batch(grid: SimplexGrid, points: Array) -> tuple[Array, Array]:
 
     Points are expected inside the box (clamp exterior points first);
     coordinates that fall marginally outside are clipped.  Ties between
-    fractional coordinates resolve deterministically by axis index.
+    fractional coordinates resolve deterministically by axis index.  This
+    is the batch kernel of the arrival cache; :func:`interpolate` is its
+    one-point counterpart.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.r:
@@ -222,22 +232,47 @@ def stencil_batch(grid: SimplexGrid, points: Array) -> tuple[Array, Array]:
     return indices, weights
 
 
-def interpolation_stencil(grid: SimplexGrid, point: Array) -> Stencil:
-    """Kuhn simplex stencil of a single point."""
-    idx, wts = stencil_batch(grid, np.asarray(point, dtype=float)[None, :])
-    return Stencil(indices=idx[0], weights=wts[0])
-
-
 def interpolate(grid: SimplexGrid, nodal: Array, point: Array) -> float:
-    """Piecewise-linear interpolation of nodal values at a point."""
+    """Piecewise-linear interpolation of nodal values at one point.
+
+    The Kuhn stencil of :func:`stencil_batch`, computed on Python floats
+    with the same formulas, so the result equals ``np.dot`` over a
+    :func:`stencil_batch` row bit for bit.  The grid's constants are built
+    once per grid; each call does only the O(r log r) per-point work.
+    """
     nodal = np.asarray(nodal, dtype=float)
     if nodal.shape != (grid.node_count,):
         raise ValidationError("nodal values must have one entry per grid node")
-    st = interpolation_stencil(grid, point)
-    return float(np.dot(st.weights, nodal[st.indices]))
-
-
-def interpolate_batch(grid: SimplexGrid, nodal: Array, points: Array) -> Array:
-    """Vectorized :func:`interpolate` over stacked points."""
-    idx, wts = stencil_batch(grid, points)
-    return np.einsum("mq,mq->m", wts, np.asarray(nodal, dtype=float)[idx])
+    lower, edge, top, strides = grid._point_constants
+    coords = np.asarray(point, dtype=float)
+    if coords.shape != (len(lower),):
+        raise InvalidPointError(f"point must have shape ({grid.r},)")
+    theta = []
+    base = 0
+    for p, lo, e, t, s in zip(coords.tolist(), lower, edge, top, strides):
+        u = (p - lo) / e
+        # cell = clip(floor(u), 0, t) and theta = clip(u - cell, 0, 1), as in
+        # stencil_batch; for 0 < u < t neither clip binds and u - cell is exact
+        if u >= t:
+            cell = t
+            theta.append(min(u - t, 1.0))
+        elif u > 0.0:
+            cell = int(u)
+            theta.append(u - cell)
+        elif u <= 0.0:
+            cell = 0
+            theta.append(0.0)
+        else:
+            raise InvalidPointError("point coordinates contain NaN")
+        base += cell * s
+    # descending theta, ties by axis index: the stable argsort of -theta
+    order = sorted(range(len(theta)), key=theta.__getitem__, reverse=True)
+    weights = [1.0 - theta[order[0]]]
+    indices = [base]
+    for a, b in zip(order, order[1:]):
+        weights.append(theta[a] - theta[b])
+    weights.append(theta[order[-1]])
+    for a in order:
+        base += strides[a]
+        indices.append(base)
+    return float(np.dot(weights, nodal[indices]))

@@ -24,7 +24,7 @@ from . import _accel
 from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
 from .errors import CacheBudgetError, NumericalError, ValidationError
 from .hjbgrid import SimplexGrid, interpolate, stencil_batch
-from .pod import PODBasis, project_coeffs
+from .pod import PODBasis, _check_rank
 from .reduced import InvarianceReport, ReducedSystem, clipped_arrivals
 
 logger = logging.getLogger(__name__)
@@ -98,6 +98,8 @@ class ControlTable:
     control_set: ControlSet
 
     def __post_init__(self):
+        if np.shape(self.controls) != (self.grid.node_count,):
+            raise ValidationError("control table must have one entry per grid node")
         if not np.all(np.isin(self.controls, self.control_set.values)):
             raise ValidationError("table entries must belong to the control set")
 
@@ -309,20 +311,31 @@ def initial_value_guess(
 class FeedbackPolicy:
     """Interpolated nodal-argmin feedback law as a state-space operator.
 
-    Applies coefficient projection, clamps into the box of the table's
-    grid, interpolates the control table with the simplex stencil weights,
-    and clips to the span of the table's control set.
+    Construction checks that the basis has at least the table's rank.  Each
+    call projects ``y`` onto the first r modes with the expression of
+    :func:`~hjbpod.pod.project_coeffs`, clamps the coefficients into the box
+    of the table's grid, interpolates the control table at that one point
+    (:func:`~hjbpod.hjbgrid.interpolate`, whose grid constants are built once
+    per grid) and clips to the span of the table's control set.
     """
 
     basis: PODBasis
     table: ControlTable
 
+    def __post_init__(self):
+        _check_rank(self.basis, self.table.grid.r)
+
     def __call__(self, y: Array) -> float:
         grid = self.table.grid
-        coeffs = project_coeffs(self.basis, y, grid.r)
-        u = interpolate(grid, self.table.controls, grid.box.clip(coeffs))
+        box = grid.box
+        basis = self.basis
+        coeffs = basis.modes[: grid.r] @ (basis.weight * np.asarray(y, dtype=float))
+        # box.clip's np.clip, spelled as its two ufuncs: the same values at a
+        # fraction of np.clip's call overhead on an r-vector
+        coeffs = np.minimum(np.maximum(coeffs, box.lower), box.upper)
+        u = interpolate(grid, self.table.controls, coeffs)
         values = self.table.control_set.values
-        return float(np.clip(u, values[0], values[-1]))
+        return float(min(max(u, values[0]), values[-1]))
 
 
 def simulate_closed_loop(

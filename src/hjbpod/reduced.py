@@ -189,14 +189,6 @@ def build_domain(
     return Hyperbox(lower - margin * width, upper + margin * width)
 
 
-def clamp_to_domain(box: Hyperbox, point: Array) -> tuple[Array, Array]:
-    """Closest point of the box and the per-axis displacement as a width fraction."""
-    point = np.asarray(point, dtype=float)
-    clamped = box.clip(point)
-    rel_change = np.abs(clamped - point) / box.width
-    return clamped, rel_change
-
-
 def _face_slice(lower: Array, upper: Array, axis: int, value: float, pts_per_axis: int) -> Array:
     """Lattice on the face {y_k = value} of the box, other axes sampled uniformly."""
     axes = []

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import hjbpod as hp
-from hjbpod.reduced import ReducedSystem
+from hjbpod.hjbgrid import grid_from_edge
+from hjbpod.reduced import Hyperbox, ReducedSystem
 
 
 @pytest.fixture(scope="session")
@@ -81,3 +82,31 @@ def random_snapshot_set(rng, n=20, p=2, M=9, dt=0.1):
         controls=np.zeros(p),
         weight=weight,
     )
+
+
+def kuhn_probe_points(grid, rng, count=30):
+    """Points that stress the Kuhn stencil of ``grid``, shape (6 * count, r).
+
+    Nodes, points on a lattice plane of one axis (cell faces), points whose fractional coordinates tie on
+    every axis or on every other axis, uniform interior points and points
+    outside the box.  On a lattice with dyadic lower corner and edge the
+    nodes, faces and ties are exact in floating point.
+    """
+    r = grid.r
+    lower, upper, edge = grid.box.lower, grid.box.upper, grid.edge
+    nodes = grid.all_nodes()[rng.integers(grid.node_count, size=count)]
+    faces = rng.uniform(lower, upper, size=(count, r))
+    axis = rng.integers(r, size=count)
+    faces[np.arange(count), axis] = nodes[np.arange(count), axis]
+    cells = rng.integers(0, grid.cells_per_axis, size=(count, r))
+    ties = lower + edge * (cells + rng.choice([0.25, 0.5, 0.75], size=(count, 1)))
+    half_ties = ties.copy()
+    half_ties[:, ::2] = rng.uniform(lower[::2], upper[::2], size=(count, (r + 1) // 2))
+    interior = rng.uniform(lower, upper, size=(count, r))
+    exterior = rng.uniform(lower - grid.box.width, upper + grid.box.width, size=(count, r))
+    return np.concatenate([nodes, faces, ties, half_ties, interior, exterior])
+
+
+def dyadic_grid(r):
+    """Lattice on [-1, 1]^r with edge 1/2 (5**r nodes)."""
+    return grid_from_edge(Hyperbox(np.full(r, -1.0), np.ones(r)), np.full(r, 0.5))

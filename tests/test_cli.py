@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -226,8 +227,9 @@ def test_custom_system_pipeline(tmp_path):
     assert sim["costs"]["hjb"] <= sim["costs"]["uncontrolled"] + 1e-12
 
 
-def test_compare_lqr_small_test2(tmp_path):
-    cfg = cli.RunConfig(
+def small_test2_config(outdir, **extra):
+    """A seconds-scale test-2 pipeline configuration."""
+    return cli.RunConfig(
         test="test2",
         N=24,
         snapshot_controls=(-2.2, -1.1, 0.0),
@@ -242,8 +244,13 @@ def test_compare_lqr_small_test2(tmp_path):
         rel_tol=1e-10,
         abs_tol=1e-10,
         quotient_at_zero=True,
-        outdir=str(tmp_path),
+        outdir=str(outdir),
+        **extra,
     )
+
+
+def test_compare_lqr_small_test2(tmp_path):
+    cfg = small_test2_config(tmp_path)
     cli.cmd_snapshots(cfg)
     cli.cmd_solve(cfg)
     cli.cmd_compare_lqr(cfg)
@@ -256,6 +263,27 @@ def test_compare_lqr_small_test2(tmp_path):
     assert np.isfinite(entry["median_relative_error"])
     data = np.loadtxt(tmp_path / "control_error_r2.csv", delimiter=",", skiprows=1)
     assert data.shape[1] == 4
+
+
+def test_compare_lqr_resimulates_under_its_own_config(tmp_path):
+    # A trajectory left by simulate under another config (initial state or
+    # horizon) must not be compared with this config's LQR run.
+    cfg = small_test2_config(tmp_path)
+    cli.cmd_snapshots(cfg)
+    cli.cmd_solve(cfg)
+    cli.cmd_simulate(cfg)
+    cli.cmd_compare_lqr(cfg)
+    expected = (tmp_path / "control_error_r2.csv").read_bytes()
+    y0 = cfg.initial_state(cfg.system())
+    for stale in (
+        dataclasses.replace(cfg, y0=tuple(0.5 * y0)),
+        dataclasses.replace(cfg, t_e=0.5),
+    ):
+        cli.cmd_simulate(stale)
+        cli.cmd_compare_lqr(cfg)
+        assert (tmp_path / "control_error_r2.csv").read_bytes() == expected
+        with open(tmp_path / "simulate_r2.json") as fh:
+            assert json.load(fh)["config"]["t_e"] == cfg.t_e
 
 
 class TestMainEntry:

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import hjbpod as hp
-from hjbpod.errors import GridBudgetError, InvalidPointError
-from hjbpod.hjbgrid import aligned_grid, interpolate_batch, stencil_batch
+from hjbpod.errors import GridBudgetError, InvalidPointError, ValidationError
+from hjbpod.hjbgrid import aligned_grid, stencil_batch
 from hjbpod.reduced import Hyperbox
+
+from conftest import dyadic_grid, kuhn_probe_points
 
 
 def unit_box(r):
@@ -50,10 +52,10 @@ class TestStencil:
             box=box, cells_per_axis=np.array([4, 4]), edge=np.array([0.25, 0.25]),
             node_count=25, k_r=float(np.hypot(0.25, 0.25)),
         )
-        st = hp.interpolation_stencil(g, np.array([0.5, 0.75]))
-        assert st.weights.max() == 1.0
-        assert st.weights.sum() == pytest.approx(1.0, abs=1e-15)
-        node = g.node_coords(st.indices[np.argmax(st.weights)])
+        idx, wts = stencil_batch(g, np.array([[0.5, 0.75]]))
+        assert wts[0].max() == 1.0
+        assert wts[0].sum() == pytest.approx(1.0, abs=1e-15)
+        node = g.node_coords(idx[0, np.argmax(wts[0])])
         np.testing.assert_array_equal(node, [0.5, 0.75])
 
     def test_hand_computed_2d(self):
@@ -61,9 +63,9 @@ class TestStencil:
             box=unit_box(2), cells_per_axis=np.array([1, 1]), edge=np.ones(2),
             node_count=4, k_r=np.sqrt(2.0),
         )
-        st = hp.interpolation_stencil(g, np.array([0.7, 0.2]))
-        np.testing.assert_allclose(st.weights, [0.3, 0.5, 0.2], atol=1e-15)
-        verts = [g.node_coords(i) for i in st.indices]
+        idx, wts = stencil_batch(g, np.array([[0.7, 0.2]]))
+        np.testing.assert_allclose(wts[0], [0.3, 0.5, 0.2], atol=1e-15)
+        verts = [g.node_coords(i) for i in idx[0]]
         np.testing.assert_array_equal(verts, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
 
     def test_tie_is_deterministic(self):
@@ -71,15 +73,15 @@ class TestStencil:
             box=unit_box(2), cells_per_axis=np.array([1, 1]), edge=np.ones(2),
             node_count=4, k_r=np.sqrt(2.0),
         )
-        st1 = hp.interpolation_stencil(g, np.array([0.4, 0.4]))
-        st2 = hp.interpolation_stencil(g, np.array([0.4, 0.4]))
-        np.testing.assert_array_equal(st1.indices, st2.indices)
-        assert st1.weights.sum() == pytest.approx(1.0, abs=1e-15)
+        idx1, wts1 = stencil_batch(g, np.array([[0.4, 0.4]]))
+        idx2, _ = stencil_batch(g, np.array([[0.4, 0.4]]))
+        np.testing.assert_array_equal(idx1, idx2)
+        assert wts1[0].sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_nan_rejected(self):
         g = hp.build_grid(unit_box(2), 0.5)
         with pytest.raises(InvalidPointError):
-            hp.interpolation_stencil(g, np.array([0.1, np.nan]))
+            stencil_batch(g, np.array([[0.1, np.nan]]))
 
 
 def brute_force_kuhn_interpolate(grid, nodal, point):
@@ -135,9 +137,32 @@ class TestInterpolate:
         g = hp.build_grid(unit_box(3), 0.5)
         nodal = rng.normal(size=g.node_count)
         pts = rng.uniform(0, 1, size=(40, 3))
-        batch = interpolate_batch(g, nodal, pts)
+        idx, wts = stencil_batch(g, pts)
         for i in range(40):
-            assert batch[i] == pytest.approx(hp.interpolate(g, nodal, pts[i]), abs=1e-14)
+            assert hp.interpolate(g, nodal, pts[i]) == float(np.dot(wts[i], nodal[idx[i]]))
+
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_equals_stencil_batch_bit_for_bit(self, r, rng):
+        # the one-point kernel and the batch kernel of the arrival cache
+        # must give the same value at every point, not merely a close one
+        box = Hyperbox(-rng.uniform(0.5, 2, r), rng.uniform(0.5, 2, r))
+        for g in (dyadic_grid(r), hp.build_grid(box, float(np.linalg.norm(box.width) / 3))):
+            nodal = rng.normal(size=g.node_count)
+            pts = kuhn_probe_points(g, rng)
+            idx, wts = stencil_batch(g, pts)
+            for i, p in enumerate(pts):
+                assert hp.interpolate(g, nodal, p) == float(np.dot(wts[i], nodal[idx[i]]))
+
+    def test_nan_and_bad_shapes_rejected(self):
+        g = dyadic_grid(2)
+        nodal = np.zeros(g.node_count)
+        with pytest.raises(InvalidPointError):
+            hp.interpolate(g, nodal, np.array([0.1, np.nan]))
+        with pytest.raises(InvalidPointError):
+            hp.interpolate(g, nodal, np.array([0.1, 0.2, 0.3]))
+        with pytest.raises(ValidationError):
+            hp.interpolate(g, nodal[:-1], np.array([0.1, 0.2]))
 
 
 class TestInterpolationProperties:

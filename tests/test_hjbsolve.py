@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 import hjbpod as hp
-from hjbpod.errors import CacheBudgetError, ValidationError
-from hjbpod.hjbgrid import stencil_batch
+from hjbpod.errors import CacheBudgetError, InvalidPointError, ValidationError
+from hjbpod.hjbgrid import aligned_grid, stencil_batch
 from hjbpod.hjbsolve import ArrivalCache
 from hjbpod.reduced import Hyperbox, ReducedSystem
 
-from conftest import make_scalar_integrator_system
+from conftest import dyadic_grid, kuhn_probe_points, make_scalar_integrator_system
 
 
 def toy_grid(lo=-1.0, hi=1.0, diameter=0.02):
@@ -58,6 +58,17 @@ class TestControlSet:
             hp.ControlSet(np.array([]))
 
 
+class TestControlTable:
+    def test_one_entry_per_node(self):
+        grid = toy_grid(diameter=0.5)
+        for count in (grid.node_count - 1, grid.node_count + 1):
+            with pytest.raises(ValidationError, match="one entry per grid node"):
+                hp.ControlTable(
+                    grid=grid, controls=np.zeros(count),
+                    control_set=hp.ControlSet(np.array([0.0])),
+                )
+
+
 class TestBuildArrivalCache:
     def test_zero_field_self_stencils(self):
         sys0 = hp.ControlledSystem(
@@ -100,7 +111,7 @@ class TestBuildArrivalCache:
             i = int(rng.integers(grid.node_count))
             l = int(rng.integers(3))
             arrival = nodes[i] + h * toy_reduced.rhs(nodes[i], controls.values[l])
-            clamped, _ = hp.clamp_to_domain(grid.box, arrival)
+            clamped = grid.box.clip(arrival)
             idx, wts = stencil_batch(grid, clamped[None, :])
             fresh = float(np.dot(wts[0], nodal[idx[0]]))
             cached = float(np.dot(cache.weights[i, l], nodal[cache.indices[i, l]]))
@@ -289,7 +300,7 @@ class TestValueIteration:
         for i in (0, 7, grid.node_count - 1):
             for l, u in enumerate(controls.values):
                 arrival = nodes[i] + 0.05 * (A @ nodes[i] + u * b)
-                clamped, _ = hp.clamp_to_domain(box, arrival)
+                clamped = box.clip(arrival)
                 idx, wts = stencil_batch(grid, clamped[None, :])
                 np.testing.assert_array_equal(cache.indices[i, l], idx[0])
                 np.testing.assert_allclose(cache.weights[i, l], wts[0], atol=1e-15)
@@ -372,13 +383,75 @@ class TestFeedback:
         for _ in range(10):
             y = rng.normal(size=1) * 2.0
             coeffs = hp.project_coeffs(basis, y, 1)
-            clamped, _ = hp.clamp_to_domain(grid.box, coeffs)
+            clamped = grid.box.clip(coeffs)
             manual = hp.interpolate(grid, table.controls, clamped)
             manual = float(np.clip(manual, -1.0, 1.0))
             assert hp.FeedbackPolicy(basis, table)(y) == pytest.approx(manual, abs=1e-14)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_equals_composition_bit_for_bit(self, r, rng):
+        grid = dyadic_grid(r)
+        values = np.linspace(-1.0, 1.0, 5)
+        table = hp.ControlTable(
+            grid=grid, controls=rng.choice(values, grid.node_count),
+            control_set=hp.ControlSet(values),
+        )
+        pts = kuhn_probe_points(grid, rng)
+        # unit weights project lifted lattice points back exactly; random
+        # weights give generic coefficients
+        for weight in (np.ones(r + 2), rng.uniform(0.5, 2.0, r + 2)):
+            basis = hp.identity_basis(weight)
+            policy = hp.FeedbackPolicy(basis, table)
+            extra = rng.normal(size=(pts.shape[0], 2))
+            for y in hp.lift(basis, np.hstack([pts, extra])):
+                assert policy(y) == composed_feedback(basis, table, y)
+
+    def test_nan_state_rejected(self, toy_reduced, toy_cache):
+        grid, cache = toy_cache
+        table = hp.ControlTable(
+            grid=grid, controls=np.zeros(grid.node_count),
+            control_set=hp.ControlSet(np.array([0.0])),
+        )
+        with pytest.raises(InvalidPointError):
+            hp.FeedbackPolicy(toy_reduced.basis, table)(np.array([np.nan]))
+
+    def test_rank_checked_at_construction(self):
+        table = hp.ControlTable(
+            grid=dyadic_grid(3), controls=np.zeros(5**3),
+            control_set=hp.ControlSet(np.array([0.0])),
+        )
+        with pytest.raises(ValidationError, match="rank"):
+            hp.FeedbackPolicy(hp.identity_basis(np.ones(2)), table)
+
+
+def composed_feedback(basis, table, y):
+    """Reference feedback from the library's batch pieces."""
+    grid = table.grid
+    coeffs = hp.project_coeffs(basis, y, grid.r)
+    idx, wts = stencil_batch(grid, grid.box.clip(coeffs)[None, :])
+    u = float(np.dot(wts[0], table.controls[idx[0]]))
+    values = table.control_set.values
+    return float(np.clip(u, values[0], values[-1]))
+
 
 class TestClosedLoop:
+    def test_equals_integrate_with_composed_law(self, test2_bundle):
+        sys2, snap, basis = test2_bundle
+        h = 0.02
+        rs = ReducedSystem(basis, sys2, 2)
+        grid = aligned_grid(hp.build_domain(basis, snap, 2), 0.2)
+        cache = hp.build_arrival_cache(grid, rs, hp.ControlSet.uniform(-2.2, 0.0, 5), h)
+        _, table = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, h, 1e-5)
+        y0 = hp.test2_initial_state(100)
+        cfg = hp.IntegratorConfig()
+        traj = hp.simulate_closed_loop(sys2, basis, table, y0, 1.0, cfg, sample_dt=0.1)
+        ref = hp.integrate(
+            sys2, y0, lambda y: composed_feedback(basis, table, y), (0.0, 1.0), cfg, traj.times
+        )
+        np.testing.assert_array_equal(traj.states, ref.states)
+        np.testing.assert_array_equal(traj.controls, ref.controls)
+        assert np.ptp(traj.controls) > 0
+
     def test_zero_policy_matches_uncontrolled(self):
         sys2 = hp.build_test2(12)
         basis = hp.identity_basis(sys2.weight)
