@@ -58,7 +58,12 @@ _TEST_DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    """Resolved parameters of a pipeline run."""
+    """Parameters of a pipeline run.
+
+    Construction converts the tuple fields to floats, validates the values
+    and fills the derived defaults, so every field (bar ``control_interval``,
+    whose default needs the system) holds the value the run uses.
+    """
 
     test: str = "test1"
     N: int = 100
@@ -91,31 +96,32 @@ class RunConfig:
     control_box: tuple | None = None  # test2 override
     y0: tuple | None = None  # custom systems: initial state
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for key in ("snapshot_controls", "guess_controls", "control_interval", "control_box", "y0"):
+            if getattr(self, key) is not None:
+                setattr(self, key, tuple(float(v) for v in getattr(self, key)))
         if self.T <= 0 or self.dt <= 0:
             raise ValidationError("T and dt must be positive")
         if self.t_e <= 0:
             raise ValidationError("t_e must be positive")
         if self.k_r <= 0:
             raise ValidationError("k_r must be positive")
+        if self.lam <= 0:
+            raise ValidationError("lam must be positive")
         if self.r < 1:
             raise ValidationError("r must be >= 1")
         if self.stop_tol <= 0:
             raise ValidationError("stop_tol must be positive")
-        if self.resolved_h > 0.5 / self.lam:
-            logger.warning("h=%g exceeds the recommended bound 1/(2*lam)", self.resolved_h)
-
-    @property
-    def resolved_h(self) -> float:
-        return self.h if self.h is not None else 0.1 * self.k_r
-
-    @property
-    def resolved_tau(self) -> float:
-        return self.tau if self.tau is not None else self.T
-
-    @property
-    def resolved_guess_step(self) -> float:
-        return self.guess_step if self.guess_step is not None else self.resolved_h
+        if self.tau is None:
+            self.tau = self.T
+        if self.h is None:
+            self.h = 0.1 * self.k_r
+        if self.guess_step is None:
+            self.guess_step = self.h
+        if self.guess_controls is None:
+            self.guess_controls = self.snapshot_controls
+        if self.h > 0.5 / self.lam:
+            logger.warning("h=%g exceeds the recommended bound 1/(2*lam)", self.h)
 
     def integrator(self) -> dynamics.IntegratorConfig:
         return dynamics.IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
@@ -138,15 +144,6 @@ class RunConfig:
             return dynamics.test2_initial_state(self.N)
         raise ValidationError("custom systems need an explicit y0 in the config")
 
-    def resolved_dict(self) -> dict:
-        d = asdict(self)
-        d["h"] = self.resolved_h
-        d["tau"] = self.resolved_tau
-        d["guess_step"] = self.resolved_guess_step
-        if d["guess_controls"] is None:
-            d["guess_controls"] = list(self.snapshot_controls)
-        return d
-
 
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Merge per-test defaults, a JSON config file, and CLI overrides."""
@@ -159,25 +156,20 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     merged.update(_TEST_DEFAULTS.get(test, {}))
     merged.update({k: v for k, v in data.items() if v is not None})
     merged.update({k: v for k, v in overrides.items() if v is not None})
-    known = set(RunConfig.__dataclass_fields__)
-    unknown = set(merged) - known
+    unknown = set(merged) - set(RunConfig.__dataclass_fields__)
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("snapshot_controls", "guess_controls", "control_interval", "control_box", "y0"):
-        if merged.get(key) is not None:
-            merged[key] = tuple(float(v) for v in merged[key])
-    cfg = RunConfig(**merged)
-    cfg.validate()
-    return cfg
+    return RunConfig(**merged)
 
 
 # ---------------------------------------------------------------------------
 # artifact helpers
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    path = Path(cfg.outdir)
-    path.mkdir(parents=True, exist_ok=True)
+def _existing(path: Path, command: str) -> Path:
+    """``path``, if it exists; else a ValidationError naming ``command``, which writes it."""
+    if not path.exists():
+        raise ValidationError(f"missing {command} artifacts: no {path} (run '{command}' first)")
     return path
 
 
@@ -213,7 +205,7 @@ _CSV_SCHEMAS = {
 def _meta_skeleton(cfg: RunConfig) -> dict:
     return {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "config": cfg.resolved_dict(),
+        "config": asdict(cfg),
         "csv_schemas": _CSV_SCHEMAS,
     }
 
@@ -235,19 +227,20 @@ def _grid_from_payload(payload: dict) -> SimplexGrid:
     return grid_from_edge(box, np.array(payload["edge"]), node_budget=payload["node_count"])
 
 
-def _write_spectrum(path: Path, eigvals: np.ndarray) -> None:
-    write_csv(path, ["k", "lambda_k"], [np.arange(1, eigvals.size + 1), eigvals])
+def _write_basis(out: Path, cfg: RunConfig, snap: pod.SnapshotSet) -> pod.PODBasis:
+    """Compute the POD basis of ``snap``, save it and write its spectrum CSV."""
+    basis = pod.compute_basis(snap, tau=cfg.tau)
+    pod.save_basis(out / "basis.npz", basis)
+    eigvals = basis.eigvals
+    write_csv(out / "spectrum.csv", ["k", "lambda_k"], [np.arange(1, eigvals.size + 1), eigvals])
+    return basis
 
 
 def _load_solution(out: Path, r: int) -> hjbsolve.ControlTable:
     """The control table solved at rank ``r``, on the grid it was solved on."""
-    npz_path = out / f"solve_r{r}.npz"
-    meta_path = out / f"meta_r{r}.json"
-    if not npz_path.exists() or not meta_path.exists():
-        raise ValidationError(f"missing solve artifacts for r={r} in {out} (run 'solve' first)")
-    with open(meta_path) as fh:
+    with open(_existing(out / f"meta_r{r}.json", "solve")) as fh:
         meta = json.load(fh)
-    with np.load(npz_path) as data:
+    with np.load(_existing(out / f"solve_r{r}.npz", "solve")) as data:
         controls = data["controls"]
         control_values = data["control_values"]
     return hjbsolve.ControlTable(
@@ -263,7 +256,8 @@ def _load_solution(out: Path, r: int) -> hjbsolve.ControlTable:
 
 def cmd_snapshots(cfg: RunConfig) -> Path:
     """Generate the snapshot bundle and the correlation spectrum CSV."""
-    out = _outdir(cfg)
+    out = Path(cfg.outdir)
+    out.mkdir(parents=True, exist_ok=True)
     sys_obj = cfg.system()
     y0 = cfg.initial_state(sys_obj)
     t0 = time.perf_counter()
@@ -277,9 +271,7 @@ def cmd_snapshots(cfg: RunConfig) -> Path:
         quotient_at_zero=cfg.quotient_at_zero,
     )
     pod.save_snapshots(out / "snapshots.npz", snap)
-    basis = pod.compute_basis(snap, tau=cfg.resolved_tau)
-    pod.save_basis(out / "basis.npz", basis)
-    _write_spectrum(out / "spectrum.csv", basis.eigvals)
+    basis = _write_basis(out, cfg, snap)
     meta = _meta_skeleton(cfg)
     meta["snapshots"] = {
         "p": snap.p,
@@ -297,14 +289,9 @@ def cmd_snapshots(cfg: RunConfig) -> Path:
 
 def cmd_basis(cfg: RunConfig) -> Path:
     """(Re)build the POD basis from an existing snapshot bundle."""
-    out = _outdir(cfg)
-    snap_path = out / "snapshots.npz"
-    if not snap_path.exists():
-        raise ValidationError(f"snapshot bundle not found: {snap_path} (run 'snapshots' first)")
-    snap = pod.load_snapshots(snap_path)
-    basis = pod.compute_basis(snap, tau=cfg.resolved_tau)
-    pod.save_basis(out / "basis.npz", basis)
-    _write_spectrum(out / "spectrum.csv", basis.eigvals)
+    out = Path(cfg.outdir)
+    snap = pod.load_snapshots(_existing(out / "snapshots.npz", "snapshots"))
+    basis = _write_basis(out, cfg, snap)
     meta = _meta_skeleton(cfg)
     meta["basis"] = {"d": basis.d, "tau": basis.tau, "eigvals": basis.eigvals}
     write_json(out / "basis_meta.json", meta)
@@ -313,17 +300,10 @@ def cmd_basis(cfg: RunConfig) -> Path:
 
 def cmd_solve(cfg: RunConfig) -> Path:
     """Domain, grid, arrival cache, and value iteration for the configured rank."""
-    out = _outdir(cfg)
-    snap_path = out / "snapshots.npz"
-    if not snap_path.exists():
-        raise ValidationError(f"snapshot bundle not found: {snap_path} (run 'snapshots' first)")
-    snap = pod.load_snapshots(snap_path)
+    out = Path(cfg.outdir)
+    snap = pod.load_snapshots(_existing(out / "snapshots.npz", "snapshots"))
     basis_path = out / "basis.npz"
-    if basis_path.exists():
-        basis = pod.load_basis(basis_path)
-    else:
-        basis = pod.compute_basis(snap, tau=cfg.resolved_tau)
-        pod.save_basis(basis_path, basis)
+    basis = pod.load_basis(basis_path) if basis_path.exists() else _write_basis(out, cfg, snap)
     if cfg.r > basis.d:
         raise ValidationError(f"requested rank r={cfg.r} exceeds basis dimension d={basis.d}")
 
@@ -337,7 +317,7 @@ def cmd_solve(cfg: RunConfig) -> Path:
     if cfg.ensure_invariance:
         box = reduced.grow_to_invariant(rs, box, interval)
         grid = ensure_invariant_grid(
-            rs, box, control_values, cfg.k_r, cfg.resolved_h, node_budget=cfg.node_budget
+            rs, box, control_values, cfg.k_r, cfg.h, node_budget=cfg.node_budget
         )
     else:
         grid = aligned_grid(box, cfg.k_r, node_budget=cfg.node_budget)
@@ -350,24 +330,22 @@ def cmd_solve(cfg: RunConfig) -> Path:
     )
 
     controls = hjbsolve.ControlSet(control_values)
-    h = cfg.resolved_h
 
     t0 = time.perf_counter()
     cache = hjbsolve.build_arrival_cache(
-        grid, rs, controls, h, clamp_policy=cfg.clamp_policy, entry_budget=cfg.cache_budget
+        grid, rs, controls, cfg.h, clamp_policy=cfg.clamp_policy, entry_budget=cfg.cache_budget
     )
     timings["cache_s"] = time.perf_counter() - t0
 
-    guess_controls = cfg.guess_controls or cfg.snapshot_controls
     t0 = time.perf_counter()
     v0 = hjbsolve.initial_value_guess(
-        grid, rs, guess_controls, cfg.lam, cfg.resolved_guess_step, cfg.t_e
+        grid, rs, cfg.guess_controls, cfg.lam, cfg.guess_step, cfg.t_e
     )
     timings["guess_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     vf, table = hjbsolve.value_iteration(
-        cache, v0, cfg.lam, h, cfg.stop_tol, max_iters=cfg.max_iters
+        cache, v0, cfg.lam, cfg.h, cfg.stop_tol, max_iters=cfg.max_iters
     )
     timings["iteration_s"] = time.perf_counter() - t0
     logger.info(
@@ -425,8 +403,8 @@ def cmd_solve(cfg: RunConfig) -> Path:
 
 def cmd_simulate(cfg: RunConfig) -> Path:
     """Closed-loop simulation under the solved policy plus uncontrolled reference."""
-    out = _outdir(cfg)
-    basis = pod.load_basis(out / "basis.npz")
+    out = Path(cfg.outdir)
+    basis = pod.load_basis(_existing(out / "basis.npz", "snapshots"))
     table = _load_solution(out, cfg.r)
     sys_obj = cfg.system()
     y0 = cfg.initial_state(sys_obj)
@@ -463,35 +441,35 @@ def cmd_simulate(cfg: RunConfig) -> Path:
 
 
 def _simulated_with(sim_path: Path, cfg: RunConfig) -> bool:
-    """Whether ``simulate`` last wrote ``sim_path`` under this resolved config."""
+    """Whether ``simulate`` last wrote ``sim_path`` under this config."""
     if not sim_path.exists():
         return False
     with open(sim_path) as fh:
         stored = json.load(fh).get("config")
-    return stored == json.loads(json.dumps(cfg.resolved_dict(), default=_json_default))
+    return stored == json.loads(json.dumps(asdict(cfg), default=_json_default))
 
 
 def cmd_compare_lqr(cfg: RunConfig) -> Path:
     """LQR oracle run and HJB-vs-LQR error series for a linear-quadratic test.
 
     Reuses the HJB trajectory of the run directory only if ``simulate`` wrote
-    it under this same resolved config; otherwise it simulates first.
+    it under this same config; otherwise it simulates first.  The Riccati
+    equation is solved only once the system is known to be linear-quadratic
+    and the HJB trajectory is at hand.
     """
-    out = _outdir(cfg)
+    out = Path(cfg.outdir)
     sys_obj = cfg.system()
     A, B, Q, R = lqr.linear_quadratic_data(sys_obj, cfg.lam)
-    care = lqr.solve_care(A, B, Q, R, lam=cfg.lam)
-    y0 = cfg.initial_state(sys_obj)
-    icfg = cfg.integrator()
-
-    traj_lqr = lqr.simulate_lqr(sys_obj, care, y0, cfg.t_e, icfg, sample_dt=cfg.dt)
-    dynamics.write_trajectory_csv(traj_lqr, out / "trajectory_lqr.csv")
-
     hjb_path = out / f"trajectory_hjb_r{cfg.r}.csv"
     if not (hjb_path.exists() and _simulated_with(out / f"simulate_r{cfg.r}.json", cfg)):
         cmd_simulate(cfg)
     data = np.loadtxt(hjb_path, delimiter=",", skiprows=1)
     t_hjb, states_hjb, u_hjb = data[:, 0], data[:, 1:-1], data[:, -1]
+
+    care = lqr.solve_care(A, B, Q, R, lam=cfg.lam)
+    y0 = cfg.initial_state(sys_obj)
+    traj_lqr = lqr.simulate_lqr(sys_obj, care, y0, cfg.t_e, cfg.integrator(), sample_dt=cfg.dt)
+    dynamics.write_trajectory_csv(traj_lqr, out / "trajectory_lqr.csv")
 
     comp = lqr.compare_controls(
         u_hjb, traj_lqr.controls, t_hjb, traj_lqr.times, resample=True
@@ -518,7 +496,7 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
         "max_relative_error": comp.max,
         "care_residual": care.residual,
         "cost_lqr": hjbsolve.evaluate_cost(sys_obj, traj_lqr, cfg.lam),
-        "config": cfg.resolved_dict(),
+        "config": asdict(cfg),
     }
     summary["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     write_json(summary_path, summary)
@@ -528,7 +506,7 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
 
 def cmd_report(cfg: RunConfig) -> Path:
     """Summarize the artifacts of a run directory."""
-    out = _outdir(cfg)
+    out = _existing(Path(cfg.outdir), "snapshots")
     lines = [f"run directory: {out}"]
     for meta_path in sorted(out.glob("meta_r*.json")):
         with open(meta_path) as fh:

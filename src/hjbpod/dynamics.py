@@ -121,14 +121,11 @@ class IntegratorConfig:
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    max_step: float = np.inf
     method: str = "stiff"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValidationError("integrator tolerances must be positive")
-        if self.max_step <= 0:
-            raise ValidationError("max_step must be positive")
         if self.method not in ("stiff", "explicit"):
             raise ValidationError(f"unknown integrator method {self.method!r}")
 
@@ -139,6 +136,16 @@ def _tridiag_matvec(sub: float, diag: float, sup: float, y: Array) -> Array:
     out[..., :-1] += sup * y[..., 1:]
     out[..., 1:] += sub * y[..., :-1]
     return out
+
+
+def _quadratic_running_cost(weight: Array) -> Callable[[Array, float], float]:
+    """The cost rate ``|y|_w^2 + u^2/100`` of both test problems."""
+
+    def running_cost(y: Array, u: float) -> float:
+        y = np.asarray(y, dtype=float)
+        return float(np.dot(weight, y * y) + u * u / 100.0)
+
+    return running_cost
 
 
 def build_test1(N: int) -> ControlledSystem:
@@ -173,19 +180,11 @@ def build_test1(N: int) -> ControlledSystem:
     def apply_a_over_10(y: Array) -> Array:
         return _tridiag_matvec(inv_dx2, -2.0 * inv_dx2, inv_dx2, np.asarray(y, dtype=float)) / 10.0
 
-    def rhs(y: Array, u: float) -> Array:
-        y = np.asarray(y, dtype=float)
-        diff = cho_solve_banded((c_factor, False), apply_a_over_10(y))
-        return diff + y * (1.0 - y * y) + u * B
-
-    def rhs_batch(Y: Array, u: float) -> Array:
+    def rhs(Y: Array, u: float) -> Array:
+        # one state (n,) or stacked states (m, n); .T is a no-op on one state
         Y = np.asarray(Y, dtype=float)
         diff = cho_solve_banded((c_factor, False), apply_a_over_10(Y).T).T
         return diff + Y * (1.0 - Y * Y) + u * B
-
-    def running_cost(y: Array, u: float) -> float:
-        y = np.asarray(y, dtype=float)
-        return float(np.dot(weight, y * y) + u * u / 100.0)
 
     # Dense C^{-1}A/10 for Jacobians and reduced-operator precomputation.
     a_dense = (
@@ -205,11 +204,11 @@ def build_test1(N: int) -> ControlledSystem:
     return ControlledSystem(
         n=n,
         rhs=rhs,
-        running_cost=running_cost,
+        running_cost=_quadratic_running_cost(weight),
         weight=weight,
         control_box=(-1.0, 1.0),
         label=f"test1-N{N}",
-        rhs_batch=rhs_batch,
+        rhs_batch=rhs,
         jacobian=jacobian,
         structure=structure,
     )
@@ -239,15 +238,9 @@ def build_test2(N: int, control_box: tuple[float, float] = (-2.2, 0.0)) -> Contr
     diag = -2.0 / (10.0 * dx * dx)
     sup = 1.0 / (10.0 * dx * dx) - 1.0 / (2.0 * dx)
 
-    def rhs(y: Array, u: float) -> Array:
-        return _tridiag_matvec(sub, diag, sup, np.asarray(y, dtype=float)) + u * b
-
-    def rhs_batch(Y: Array, u: float) -> Array:
+    def rhs(Y: Array, u: float) -> Array:
+        # one state (n,) or stacked states (m, n)
         return _tridiag_matvec(sub, diag, sup, np.asarray(Y, dtype=float)) + u * b
-
-    def running_cost(y: Array, u: float) -> float:
-        y = np.asarray(y, dtype=float)
-        return float(np.dot(weight, y * y) + u * u / 100.0)
 
     a_dense = np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, sup), 1) + np.diag(
         np.full(n - 1, sub), -1
@@ -265,11 +258,11 @@ def build_test2(N: int, control_box: tuple[float, float] = (-2.2, 0.0)) -> Contr
     return ControlledSystem(
         n=n,
         rhs=rhs,
-        running_cost=running_cost,
+        running_cost=_quadratic_running_cost(weight),
         weight=weight,
         control_box=control_box,
         label=f"test2-N{N}",
-        rhs_batch=rhs_batch,
+        rhs_batch=rhs,
         jacobian=jacobian,
         structure=structure,
     )
@@ -340,7 +333,6 @@ def integrate(
             dense_output=True,
             rtol=cfg.rel_tol,
             atol=cfg.abs_tol,
-            max_step=cfg.max_step,
             **kwargs,
         )
         if not sol.success:

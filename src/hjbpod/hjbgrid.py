@@ -199,10 +199,10 @@ def stencil_batch(grid: SimplexGrid, points: Array) -> tuple[Array, Array]:
     """Vectorized Kuhn stencils: flat vertex indices and weights, (m, r+1) each.
 
     Points are expected inside the box (clamp exterior points first);
-    coordinates that fall marginally outside are clipped.  Ties between
-    fractional coordinates resolve deterministically by axis index.  This
-    is the batch kernel of the arrival cache; :func:`interpolate` is its
-    one-point counterpart.
+    coordinates outside it, infinite ones included, are clipped to it.
+    Ties between fractional coordinates resolve deterministically by axis
+    index.  This is the batch kernel of the arrival cache;
+    :func:`interpolate` is its one-point counterpart.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.r:
@@ -210,9 +210,10 @@ def stencil_batch(grid: SimplexGrid, points: Array) -> tuple[Array, Array]:
     if np.isnan(pts).any():
         raise InvalidPointError("point coordinates contain NaN")
     m, r = pts.shape
-    u = (pts - grid.box.lower) / grid.edge
-    cell = np.clip(np.floor(u).astype(np.int64), 0, grid.cells_per_axis - 1)
-    theta = np.clip(u - cell, 0.0, 1.0)
+    # clipping u first keeps +-inf out of the integer cast
+    u = np.clip((pts - grid.box.lower) / grid.edge, 0.0, grid.cells_per_axis)
+    cell = np.minimum(np.floor(u).astype(np.int64), grid.cells_per_axis - 1)
+    theta = u - cell
 
     order = np.argsort(-theta, axis=1, kind="stable")
     theta_sorted = np.take_along_axis(theta, order, axis=1)
@@ -251,8 +252,8 @@ def interpolate(grid: SimplexGrid, nodal: Array, point: Array) -> float:
     base = 0
     for p, lo, e, t, s in zip(coords.tolist(), lower, edge, top, strides):
         u = (p - lo) / e
-        # cell = clip(floor(u), 0, t) and theta = clip(u - cell, 0, 1), as in
-        # stencil_batch; for 0 < u < t neither clip binds and u - cell is exact
+        # u clipped to [0, t + 1], cell = min(floor(u), t) and theta = u - cell,
+        # as in stencil_batch; for 0 < u < t no clip binds and u - cell is exact
         if u >= t:
             cell = t
             theta.append(min(u - t, 1.0))

@@ -324,11 +324,6 @@ def lift(basis: PODBasis, y_r: Array) -> Array:
     return y_r @ basis.modes[:r]
 
 
-def project(basis: PODBasis, y: Array, r: int) -> Array:
-    """Orthogonal projection P y = lift(project_coeffs(y))."""
-    return lift(basis, project_coeffs(basis, y, r))
-
-
 def projection_error_stats(basis: PODBasis, snap: SnapshotSet, r: int) -> ProjectionDiagnostics:
     """Measured projection errors of a snapshot set against their bounds.
 

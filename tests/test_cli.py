@@ -43,9 +43,11 @@ class TestConfig:
 
     def test_resolved_derived_values(self):
         cfg = cli.load_config(None, {"test": "test1"})
-        assert cfg.resolved_h == pytest.approx(0.1 * cfg.k_r)
-        assert cfg.resolved_tau == cfg.T
-        assert cfg.resolved_guess_step == cfg.resolved_h
+        assert cfg.h == pytest.approx(0.1 * cfg.k_r)
+        assert cfg.tau == cfg.T
+        assert cfg.guess_step == cfg.h
+        assert cfg.guess_controls == cfg.snapshot_controls
+        assert cli.load_config(None, {"test": "test1", "h": 0.005}).guess_step == 0.005
 
     def test_file_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -62,6 +64,11 @@ class TestConfig:
     def test_degenerate_horizon_rejected(self):
         with pytest.raises(ValidationError):
             cli.load_config(None, {"test": "test1", "T": 0.0})
+
+    def test_nonpositive_discount_rejected(self):
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValidationError, match="lam"):
+                cli.load_config(None, {"test": "test1", "lam": lam})
 
 
 @pytest.fixture(scope="module")
@@ -294,6 +301,30 @@ class TestMainEntry:
     def test_missing_snapshots_exit_code(self, tmp_path):
         code = cli.main(["solve", "--test", "test1", "--outdir", str(tmp_path / "empty")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "command, missing, producer",
+        [
+            ("basis", "snapshots.npz", "snapshots"),
+            ("solve", "snapshots.npz", "snapshots"),
+            ("simulate", "basis.npz", "snapshots"),
+            ("compare-lqr", "basis.npz", "snapshots"),
+        ],
+    )
+    def test_missing_input_exit_code(self, tmp_path, capsys, command, missing, producer):
+        # exit 2, the missing file and the command that writes it, and no
+        # file written: compare-lqr must fail before its LQR half runs
+        code = cli.main([command, "--test", "test2", "--outdir", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / missing) in err
+        assert f"run '{producer}' first" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_on_missing_directory(self, tmp_path):
+        out = tmp_path / "absent"
+        assert cli.main(["report", "--outdir", str(out)]) == 2
+        assert not out.exists()
 
     def test_simulate_without_solve_fails(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -150,6 +150,10 @@ class TestInterpolate:
         for g in (dyadic_grid(r), hp.build_grid(box, float(np.linalg.norm(box.width) / 3))):
             nodal = rng.normal(size=g.node_count)
             pts = kuhn_probe_points(g, rng)
+            # infinite coordinates clip to the box faces, as finite exterior ones do
+            infinite = pts[rng.integers(len(pts), size=20)]
+            infinite[np.arange(20), rng.integers(r, size=20)] = rng.choice([-np.inf, np.inf], 20)
+            pts = np.concatenate([pts, infinite])
             idx, wts = stencil_batch(g, pts)
             for i, p in enumerate(pts):
                 assert hp.interpolate(g, nodal, p) == float(np.dot(wts[i], nodal[idx[i]]))

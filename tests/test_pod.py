@@ -7,7 +7,6 @@ from hjbpod.pod import (
     assemble_snapshot_vectors,
     load_basis,
     load_snapshots,
-    project,
     project_coeffs_batch,
     save_basis,
     save_snapshots,
@@ -227,8 +226,8 @@ class TestProjections:
         r = min(3, basis.d)
         for _ in range(5):
             y = rng.normal(size=snap.n)
-            py = project(basis, y, r)
-            ppy = project(basis, py, r)
+            py = hp.lift(basis, hp.project_coeffs(basis, y, r))
+            ppy = hp.lift(basis, hp.project_coeffs(basis, py, r))
             np.testing.assert_allclose(ppy, py, atol=1e-12)
 
     def test_rank_validation(self, rng):
