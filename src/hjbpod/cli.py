@@ -15,7 +15,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,6 @@ logger = logging.getLogger(__name__)
 # the control-table argmins near the target state need both to settle.
 _TEST_DEFAULTS = {
     "test1": dict(
-        N=100,
         snapshot_controls=(-1.0, 0.0, 1.0),
         k_r=0.02,
         control_count=21,
@@ -45,7 +44,6 @@ _TEST_DEFAULTS = {
         ensure_invariance=True,
     ),
     "test2": dict(
-        N=100,
         snapshot_controls=(-2.2, -1.1, 0.0),
         k_r=0.1,
         control_count=11,
@@ -56,13 +54,31 @@ _TEST_DEFAULTS = {
 }
 
 
+# What each RunConfig annotation admits, besides None where it ends in "| None".
+_KINDS = {
+    "int": (int, np.integer),
+    "float": (int, float, np.integer, np.floating),
+    "bool": bool,
+    "str": str,
+}
+
+
+def _of_kind(value, kind: str) -> bool:
+    """Whether ``value`` is of ``kind``; a tuple is a list or tuple of numbers."""
+    if isinstance(value, bool):
+        return kind == "bool"
+    if kind == "tuple":
+        return isinstance(value, (list, tuple)) and all(_of_kind(v, "float") for v in value)
+    return isinstance(value, _KINDS[kind])
+
+
 @dataclass
 class RunConfig:
     """Parameters of a pipeline run.
 
-    Construction converts the tuple fields to floats, validates the values
-    and fills the derived defaults, so every field (bar ``control_interval``,
-    whose default needs the system) holds the value the run uses.
+    Construction checks each value against its field's kind, converts the
+    tuple fields to float tuples, validates the values and fills the derived
+    defaults, so every field holds the value the run uses.
     """
 
     test: str = "test1"
@@ -77,7 +93,6 @@ class RunConfig:
     lam: float = 1.0
     t_e: float = 3.0
     control_count: int = 21
-    control_interval: tuple | None = None  # default: system control box
     stop_tol: float = 5e-4
     max_iters: int = 100_000
     clamp_policy: str = "clamp"
@@ -97,21 +112,16 @@ class RunConfig:
     y0: tuple | None = None  # custom systems: initial state
 
     def __post_init__(self) -> None:
-        for key in ("snapshot_controls", "guess_controls", "control_interval", "control_box", "y0"):
-            if getattr(self, key) is not None:
-                setattr(self, key, tuple(float(v) for v in getattr(self, key)))
-        if self.T <= 0 or self.dt <= 0:
-            raise ValidationError("T and dt must be positive")
-        if self.t_e <= 0:
-            raise ValidationError("t_e must be positive")
-        if self.k_r <= 0:
-            raise ValidationError("k_r must be positive")
-        if self.lam <= 0:
-            raise ValidationError("lam must be positive")
-        if self.r < 1:
-            raise ValidationError("r must be >= 1")
-        if self.stop_tol <= 0:
-            raise ValidationError("stop_tol must be positive")
+        for f in fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if not (value is None and optional or _of_kind(value, kind)):
+                raise ValidationError(f"config key {f.name!r} must be a {kind}, got {value!r}")
+            if kind == "tuple" and value is not None:
+                setattr(self, f.name, tuple(float(v) for v in value))
+        for key in ("T", "dt", "t_e", "k_r", "lam", "stop_tol", "r"):
+            if getattr(self, key) <= 0:
+                raise ValidationError(f"{key} must be positive")
         if self.tau is None:
             self.tau = self.T
         if self.h is None:
@@ -312,10 +322,9 @@ def cmd_solve(cfg: RunConfig) -> Path:
     t0 = time.perf_counter()
     rs = reduced.ReducedSystem(basis, sys_obj, cfg.r)
     box = reduced.build_domain(basis, snap, cfg.r, margin=cfg.margin)
-    interval = cfg.control_interval or sys_obj.control_box
-    control_values = np.linspace(interval[0], interval[1], cfg.control_count)
+    control_values = np.linspace(*sys_obj.control_box, cfg.control_count)
     if cfg.ensure_invariance:
-        box = reduced.grow_to_invariant(rs, box, interval)
+        box = reduced.grow_to_invariant(rs, box, sys_obj.control_box)
         grid = ensure_invariant_grid(
             rs, box, control_values, cfg.k_r, cfg.h, node_budget=cfg.node_budget
         )
@@ -471,9 +480,7 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
     traj_lqr = lqr.simulate_lqr(sys_obj, care, y0, cfg.t_e, cfg.integrator(), sample_dt=cfg.dt)
     dynamics.write_trajectory_csv(traj_lqr, out / "trajectory_lqr.csv")
 
-    comp = lqr.compare_controls(
-        u_hjb, traj_lqr.controls, t_hjb, traj_lqr.times, resample=True
-    )
+    comp = lqr.compare_controls(u_hjb, traj_lqr.controls, t_hjb, traj_lqr.times)
     write_csv(
         out / f"control_error_r{cfg.r}.csv",
         ["t", "u_hjb", "u_lqr", "relative_error"],
@@ -556,7 +563,12 @@ _COMMANDS = {
 }
 
 
-def _add_common_options(p: argparse.ArgumentParser) -> None:
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(
+        prog="hjbpod",
+        description="Reduced-order dynamic-programming feedback control pipeline",
+    )
+    p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--test", choices=["test1", "test2", "custom"])
     p.add_argument("--outdir")
@@ -577,29 +589,15 @@ def _add_common_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--guess-step", type=float, dest="guess_step")
     p.add_argument("--sample-hold", action="store_const", const=True, dest="sample_hold")
     p.add_argument("-v", "--verbose", action="store_true")
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hjbpod",
-        description="Reduced-order dynamic-programming feedback control pipeline",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        sp = sub.add_parser(name)
-        _add_common_options(sp)
-    args = parser.parse_args(argv)
+    args = p.parse_args(argv)
 
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
 
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config", "verbose") and v is not None
-    }
+    # load_config drops the flags left unset (None)
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
     try:
         cfg = load_config(args.config, overrides)
         _COMMANDS[args.command](cfg)

@@ -10,7 +10,6 @@ approximate the L2 inner product on the spatial interval.
 
 from __future__ import annotations
 
-import csv
 import importlib
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -41,6 +40,10 @@ class SystemStructure:
     control_gain: Array
     nonlinearity: str | None = None  # None or "bistable_cubic" (adds y - y**3)
     quadratic_cost_control_weight: float | None = None  # g = |y|_w^2 + cw*u^2
+
+    def __post_init__(self):
+        if self.nonlinearity not in (None, "bistable_cubic"):
+            raise ValidationError(f"unknown nonlinearity {self.nonlinearity!r}")
 
 
 @dataclass(frozen=True)
@@ -88,16 +91,11 @@ class ControlledSystem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution of a controlled system.
-
-    ``derivatives`` holds rhs evaluations at the sampled states when they
-    were requested (never finite differences of the states).
-    """
+    """Sampled solution of a controlled system."""
 
     times: Array
     states: Array  # (k, n)
     controls: Array  # (k,)
-    derivatives: Array | None = None  # (k, n)
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
@@ -106,8 +104,6 @@ class Trajectory:
         k = t.size
         if self.states.shape[0] != k or self.controls.shape[0] != k:
             raise ValidationError("states/controls must match times length")
-        if self.derivatives is not None and self.derivatives.shape != self.states.shape:
-            raise ValidationError("derivatives must match states shape")
 
 
 @dataclass(frozen=True)
@@ -289,15 +285,13 @@ def integrate(
     t_span: tuple[float, float],
     cfg: IntegratorConfig | None = None,
     sample_times: Sequence[float] | None = None,
-    with_derivatives: bool = False,
 ) -> Trajectory:
     """Integrate ``y' = f(y, u)`` and sample the solution.
 
     ``control`` is a scalar (held constant) or a state feedback ``u(y)``.
     A feedback closes the loop: the system Jacobian lacks its term, so the
     stiff solver then differences the closed-loop rhs instead.  Sampled
-    controls are the controls at the sampled states; sampled derivatives,
-    when requested, are rhs evaluations there.  Raises
+    controls are the controls at the sampled states.  Raises
     :class:`IntegrationFailure` carrying the failure time if the solver
     cannot complete the span.
     """
@@ -342,25 +336,15 @@ def integrate(
         states = np.ascontiguousarray(sol.sol(ts).T)
 
     controls = np.array([law(y) for y in states], dtype=float)
-    derivs = None
-    if with_derivatives:
-        derivs = np.empty_like(states)
-        for k in range(states.shape[0]):
-            derivs[k] = sys.rhs(states[k], controls[k])
-    return Trajectory(ts, states, controls, derivs)
+    return Trajectory(ts, states, controls)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write a trajectory as CSV with header ``t, y_1..y_n, u``."""
+    """Write a trajectory as CSV with header ``t, y_1..y_n, u``, numbers as ``%.17g``."""
     n = traj.states.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"y_{j}" for j in range(1, n + 1)] + ["u"])
-        for k in range(traj.times.size):
-            row = [repr(float(traj.times[k]))]
-            row += [repr(float(v)) for v in traj.states[k]]
-            row.append(repr(float(traj.controls[k])))
-            writer.writerow(row)
+    header = ",".join(["t"] + [f"y_{j}" for j in range(1, n + 1)] + ["u"])
+    data = np.column_stack([traj.times, traj.states, traj.controls])
+    np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header, comments="")
 
 
 def load_system(config: dict) -> ControlledSystem:

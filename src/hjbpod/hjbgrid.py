@@ -26,6 +26,9 @@ from .reduced import Hyperbox, clipped_arrivals
 
 Array = np.ndarray
 
+# Face-pushing rounds of ensure_invariant_grid before it gives up.
+_INVARIANCE_ROUNDS = 30
+
 
 @dataclass(frozen=True)
 class SimplexGrid:
@@ -64,13 +67,6 @@ class SimplexGrid:
             (self.cells_per_axis - 1).tolist(),
             self.strides.tolist(),
         )
-
-    def axis_coords(self, axis: int) -> Array:
-        return self.box.lower[axis] + self.edge[axis] * np.arange(self.node_shape[axis])
-
-    def node_coords(self, flat_index: int) -> Array:
-        idx = np.array(np.unravel_index(int(flat_index), self.node_shape), dtype=float)
-        return self.box.lower + idx * self.edge
 
     def all_nodes(self) -> Array:
         """Coordinates of every node in flat-index (C) order, shape (node_count, r)."""
@@ -137,21 +133,20 @@ def build_grid(
 
 
 def aligned_grid(
-    box: Hyperbox,
-    target_diameter: float,
-    node_budget: int = 5_000_000,
-    anchor: float = 0.0,
+    box: Hyperbox, target_diameter: float, node_budget: int = 5_000_000
 ) -> SimplexGrid:
-    """Like :func:`build_grid`, but faces snap outward onto the edge lattice.
+    """Like :func:`build_grid`, but faces snap outward onto the edge lattice
+    through the origin.
 
-    With the anchor inside the box this places it exactly on a grid node,
+    With the origin inside the box this places it exactly on a grid node,
     which matters for stabilization problems: the interpolated feedback at
     the target state is then a nodal value instead of a mixture of
     neighboring cells.
     """
     edge = build_grid(box, target_diameter, node_budget).edge
-    lower = anchor + np.floor((box.lower - anchor) / edge + 1e-9) * edge
-    upper = anchor + np.ceil((box.upper - anchor) / edge - 1e-9) * edge
+    # adding 0.0 turns a face at -0.0 into +0.0
+    lower = 0.0 + np.floor(box.lower / edge + 1e-9) * edge
+    upper = 0.0 + np.ceil(box.upper / edge - 1e-9) * edge
     return grid_from_edge(Hyperbox(lower, upper), edge, node_budget)
 
 
@@ -162,8 +157,6 @@ def ensure_invariant_grid(
     target_diameter: float,
     h: float,
     node_budget: int = 5_000_000,
-    max_rounds: int = 30,
-    anchor: float = 0.0,
 ) -> SimplexGrid:
     """Aligned grid whose box the discrete dynamics provably do not leave.
 
@@ -174,9 +167,9 @@ def ensure_invariant_grid(
     """
     if h <= 0:
         raise ValidationError("step h must be positive")
-    grid = aligned_grid(box, target_diameter, node_budget, anchor)
+    grid = aligned_grid(box, target_diameter, node_budget)
     controls = np.asarray(list(controls), dtype=float)
-    for _ in range(max_rounds):
+    for _ in range(_INVARIANCE_ROUNDS):
         _, lo_exc, hi_exc = clipped_arrivals(rs, grid.box, grid.all_nodes(), controls, h)
         if not (np.any(lo_exc > 0) or np.any(hi_exc > 0)):
             return grid

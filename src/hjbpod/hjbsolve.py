@@ -111,7 +111,6 @@ def build_arrival_cache(
     h: float,
     clamp_policy: str = "clamp",
     entry_budget: int = 200_000_000,
-    chunk: int = 200_000,
 ) -> ArrivalCache:
     """Evaluate f_r once per (node, control) and freeze stencils and costs.
 
@@ -145,7 +144,7 @@ def build_arrival_cache(
         indices[rows, l, :], weights[rows, l, :] = stencil_batch(grid, clipped)
         stage_cost[rows, l] = rs.cost_batch(nodes[rows], float(vals[l]))
 
-    report, _, _ = clipped_arrivals(rs, grid.box, nodes, vals, h, visit=freeze, chunk=chunk)
+    report, _, _ = clipped_arrivals(rs, grid.box, nodes, vals, h, visit=freeze)
     if clamp_policy == "reject" and report.violations:
         raise NumericalError(
             f"invariance violated at {report.violations} of {nc * nu} arrival points "

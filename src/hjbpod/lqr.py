@@ -4,8 +4,8 @@ The discounted problem (cost weighted by exp(-lam*t)) reduces to a
 standard continuous algebraic Riccati equation through the substitution
 ``ytilde = exp(-lam*t/2) y``, which shifts the drift to ``A - (lam/2) I``.
 The CARE is solved by Newton iteration with Lyapunov solves (Kleinman),
-started from a stabilizing gain; for the diffusion-dominated test operator
-the shifted drift is already stable, so the zero gain is admissible.
+started from the zero gain, which is stabilizing when the shifted drift is
+stable, as it is for the diffusion-dominated test operator.
 """
 
 from __future__ import annotations
@@ -19,6 +19,14 @@ from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
 from .errors import CareSolveError, ValidationError
 
 Array = np.ndarray
+
+# Newton-Kleinman stops at this relative CARE residual; at a stall it
+# accepts a residual up to _STALL_TOL, and it gives up after _MAX_ITERS steps.
+_RTOL = 1e-12
+_STALL_TOL = 1e-10
+_MAX_ITERS = 60
+# Floor of the reference control magnitude in compare_controls.
+_CONTROL_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -38,26 +46,17 @@ class CareSolution:
             raise ValidationError("CARE solution must be symmetric")
 
 
-def solve_care(
-    A: Array,
-    B: Array,
-    Q: Array,
-    R: float,
-    lam: float = 0.0,
-    rtol: float = 1e-12,
-    stall_tol: float = 1e-10,
-    max_iters: int = 60,
-    K0: Array | None = None,
-) -> CareSolution:
-    """Solve the discounted CARE by Newton-Kleinman iteration.
+def solve_care(A: Array, B: Array, Q: Array, R: float, lam: float = 0.0) -> CareSolution:
+    """Solve the discounted CARE by Newton-Kleinman iteration from the zero gain.
 
     With ``Abar = A - (lam/2) I``, finds symmetric PSD ``P`` with
 
         Abar^T P + P Abar - P B R^{-1} B^T P + Q = 0.
 
     ``B`` is a single input column given as a vector; ``R`` is scalar.
-    Raises :class:`CareSolveError` (with the residual history) if no
-    stabilizing start exists or the iteration stagnates.
+    Raises :class:`CareSolveError` if ``Abar`` is not stable (the zero gain
+    is then no stabilizing start) or, with the residual history, if the
+    iteration stagnates.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).ravel()
@@ -69,13 +68,10 @@ def solve_care(
         raise ValidationError("R must be positive")
 
     a_bar = A - 0.5 * lam * np.eye(n)
-    K = np.zeros(n) if K0 is None else np.asarray(K0, dtype=float).ravel()
-    spectral = np.max(np.linalg.eigvals(a_bar - np.outer(B, K)).real)
+    K = np.zeros(n)
+    spectral = np.max(np.linalg.eigvals(a_bar).real)
     if spectral >= 0:
-        raise CareSolveError(
-            f"initial gain is not stabilizing (max Re eig = {spectral:.3e}); "
-            "provide a stabilizing K0"
-        )
+        raise CareSolveError(f"zero gain is not stabilizing (max Re eig = {spectral:.3e})")
 
     q_norm = max(float(np.linalg.norm(Q)), np.finfo(float).tiny)
 
@@ -85,14 +81,14 @@ def solve_care(
 
     history = []
     P = None
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         a_cl = a_bar - np.outer(B, K)
         rhs = -(Q + R * np.outer(K, K))
         P = solve_continuous_lyapunov(a_cl.T, rhs)
         P = 0.5 * (P + P.T)
         K = (P @ B) / R
         history.append(care_residual(P))
-        if history[-1] <= rtol:
+        if history[-1] <= _RTOL:
             break
         # Two consecutive slow steps mean quadratic convergence has hit its
         # roundoff floor; accept only if the floor is already tight.
@@ -101,14 +97,14 @@ def solve_care(
             and history[-1] > 0.5 * history[-2]
             and history[-2] > 0.5 * history[-3]
         ):
-            if history[-1] <= stall_tol:
+            if history[-1] <= _STALL_TOL:
                 break
             raise CareSolveError(
                 f"Newton iteration stagnated at residual {history[-1]:.3e}", history
             )
     else:
         raise CareSolveError(
-            f"Newton iteration did not reach rtol={rtol:g} in {max_iters} steps "
+            f"Newton iteration did not reach rtol={_RTOL:g} in {_MAX_ITERS} steps "
             f"(residual {history[-1]:.3e})",
             history,
         )
@@ -166,44 +162,26 @@ class ControlComparison:
 
 
 def compare_controls(
-    u_hjb: Array,
-    u_lqr: Array,
-    times_hjb: Array | None = None,
-    times_lqr: Array | None = None,
-    resample: bool = False,
-    floor: float = 1e-3,
+    u_hjb: Array, u_lqr: Array, times_hjb: Array, times_lqr: Array
 ) -> ControlComparison:
-    """Relative error of a control series against a reference series.
+    """Relative error of a control series against a reference series on the same times.
 
-    The reference magnitude is floored at ``floor`` so near-zero reference
-    controls do not inflate the ratio unboundedly.  Misaligned time grids
-    fail unless ``resample`` is set, in which case the reference is
-    linearly resampled onto the first grid.
+    The reference magnitude is floored at 1e-3 so near-zero reference
+    controls do not inflate the ratio unboundedly.  Raises
+    :class:`ValidationError` if the two time grids do not line up.
     """
     u_hjb = np.asarray(u_hjb, dtype=float)
     u_lqr = np.asarray(u_lqr, dtype=float)
-    if times_hjb is None and times_lqr is None:
-        if u_hjb.shape != u_lqr.shape:
-            raise ValidationError("control series lengths differ and no time grids given")
-        times = np.arange(u_hjb.size, dtype=float)
-    else:
-        if times_hjb is None or times_lqr is None:
-            raise ValidationError("give both time grids or neither")
-        times_hjb = np.asarray(times_hjb, dtype=float)
-        times_lqr = np.asarray(times_lqr, dtype=float)
-        aligned = times_hjb.shape == times_lqr.shape and np.allclose(
-            times_hjb, times_lqr, rtol=0.0, atol=1e-12
-        )
-        if aligned:
-            times = times_hjb
-        elif resample:
-            u_lqr = np.interp(times_hjb, times_lqr, u_lqr)
-            times = times_hjb
-        else:
-            raise ValidationError("time grids are misaligned; pass resample=True to interpolate")
-    ratio = np.abs(u_hjb - u_lqr) / np.maximum(floor, np.abs(u_lqr))
+    times_hjb = np.asarray(times_hjb, dtype=float)
+    times_lqr = np.asarray(times_lqr, dtype=float)
+    if not (
+        times_hjb.shape == times_lqr.shape
+        and np.allclose(times_hjb, times_lqr, rtol=0.0, atol=1e-12)
+    ):
+        raise ValidationError("control series are sampled on misaligned time grids")
+    ratio = np.abs(u_hjb - u_lqr) / np.maximum(_CONTROL_FLOOR, np.abs(u_lqr))
     return ControlComparison(
-        times=times,
+        times=times_hjb,
         relative_error=ratio,
         median=float(np.median(ratio)),
         max=float(np.max(ratio)),

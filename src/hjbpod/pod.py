@@ -29,6 +29,9 @@ logger = logging.getLogger(__name__)
 
 Array = np.ndarray
 
+# Relative eigenvalue floor of the basis: smaller eigenpairs are roundoff.
+_DROP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SnapshotSet:
@@ -170,15 +173,14 @@ def generate_snapshots(
     derivs = np.empty_like(states)
     for nu, u in enumerate(controls):
         try:
-            traj = integrate(
-                sys, y0, float(u), (0.0, T), cfg, sample_times, with_derivatives=True
-            )
+            traj = integrate(sys, y0, float(u), (0.0, T), cfg, sample_times)
         except IntegrationFailure as exc:
             raise IntegrationFailure(
                 f"snapshot trajectory {nu} (u={u:g}) failed: {exc}", exc.time, exc.state
             ) from exc
         states[nu] = traj.states
-        derivs[nu] = traj.derivatives
+        for k, y in enumerate(traj.states):
+            derivs[nu, k] = sys.rhs(y, traj.controls[k])
     if quotient_at_zero and M >= 1:
         derivs[:, 0, :] = (states[:, 1, :] - states[:, 0, :]) / dt
     return SnapshotSet(
@@ -222,10 +224,10 @@ def correlation_matrix(vectors: Array, weight: Array) -> Array:
     return 0.5 * (K + K.T)
 
 
-def compute_basis(snap: SnapshotSet, tau: float | None = None, drop_tol: float = 1e-12) -> PODBasis:
+def compute_basis(snap: SnapshotSet, tau: float | None = None) -> PODBasis:
     """Eigendecompose the snapshot correlation matrix and build the modes.
 
-    Eigenpairs with ``lambda_k <= drop_tol * lambda_1`` are discarded.  The
+    Eigenpairs with ``lambda_k <= _DROP_TOL * lambda_1`` are discarded.  The
     modes are re-orthonormalized (modified Gram-Schmidt in the weighted
     inner product, which preserves every leading span) and sign-fixed so
     the first significant component of each mode is positive.
@@ -240,7 +242,7 @@ def compute_basis(snap: SnapshotSet, tau: float | None = None, drop_tol: float =
     vecs = vecs[:, order]
     if lam[0] <= 0:
         raise DegenerateSnapshotError("snapshot set has no positive correlation energy")
-    keep = lam > max(drop_tol, 0.0) * lam[0]
+    keep = lam > _DROP_TOL * lam[0]
     lam = lam[keep]
     vecs = vecs[:, keep]
     pN = vectors.shape[0]

@@ -23,6 +23,12 @@ logger = logging.getLogger(__name__)
 
 Array = np.ndarray
 
+# Invariant-box growth: sample points per axis on each face, rounds before
+# giving up, and the padding past a found root, as a share of the box width.
+_FACE_POINTS = 5
+_GROWTH_ROUNDS = 60
+_FACE_PAD = 1e-3
+
 
 @dataclass(frozen=True)
 class Hyperbox:
@@ -51,10 +57,6 @@ class Hyperbox:
 
     def clip(self, points: Array) -> Array:
         return np.clip(points, self.lower, self.upper)
-
-    def contains(self, points: Array) -> Array:
-        points = np.asarray(points, dtype=float)
-        return np.all((points >= self.lower) & (points <= self.upper), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -90,37 +92,21 @@ class ReducedSystem:
         self.gram = self.phi_w @ self.phi.T
 
         st = full.structure
-        self._fast = st is not None
+        # whether exact precomputed reduced operators are available
+        self.structured = st is not None
+        self.a_eff = self.cubic = self.b_red = self.cost_cw = None
         if st is not None:
-            lin = st.linear
+            self.a_eff = self.phi_w @ st.linear @ self.phi.T
             if st.nonlinearity == "bistable_cubic":
                 # rhs = L y + (y - y^3) + u B; fold the linear part of the
                 # reaction into the reduced operator and expand the cubic in
                 # the basis: exact because the modes span the lifted states.
-                self.a_eff = self.phi_w @ lin @ self.phi.T + self.gram
+                self.a_eff += self.gram
                 self.cubic = np.einsum(
                     "ij,aj,bj,cj->iabc", self.phi_w, self.phi, self.phi, self.phi
                 )
-            elif st.nonlinearity is None:
-                self.a_eff = self.phi_w @ lin @ self.phi.T
-                self.cubic = None
-            else:
-                logger.warning("unknown nonlinearity %r: using generic path", st.nonlinearity)
-                self._fast = False
-                self.a_eff = None
-                self.cubic = None
-            self.b_red = self.phi_w @ st.control_gain if self._fast else None
+            self.b_red = self.phi_w @ st.control_gain
             self.cost_cw = st.quadratic_cost_control_weight
-        else:
-            self.a_eff = None
-            self.cubic = None
-            self.b_red = None
-            self.cost_cw = None
-
-    @property
-    def structured(self) -> bool:
-        """Whether exact precomputed reduced operators are available."""
-        return self._fast
 
     # -- single-point operations (the contractual definitions) ------------
 
@@ -136,7 +122,7 @@ class ReducedSystem:
 
     def rhs_batch(self, Yr: Array, u: float) -> Array:
         Yr = np.asarray(Yr, dtype=float)
-        if self._fast:
+        if self.structured:
             out = Yr @ self.a_eff.T + u * self.b_red
             if self.cubic is not None:
                 out -= np.einsum("iabc,ma,mb,mc->mi", self.cubic, Yr, Yr, Yr, optimize=True)
@@ -189,14 +175,14 @@ def build_domain(
     return Hyperbox(lower - margin * width, upper + margin * width)
 
 
-def _face_slice(lower: Array, upper: Array, axis: int, value: float, pts_per_axis: int) -> Array:
+def _face_slice(lower: Array, upper: Array, axis: int, value: float) -> Array:
     """Lattice on the face {y_k = value} of the box, other axes sampled uniformly."""
     axes = []
     for i in range(lower.size):
         if i == axis:
             axes.append(np.array([value]))
         else:
-            axes.append(np.linspace(lower[i], upper[i], pts_per_axis))
+            axes.append(np.linspace(lower[i], upper[i], _FACE_POINTS))
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
@@ -243,14 +229,7 @@ def _outermost_root(rs: ReducedSystem, pts: Array, axis: int, u: float, sign: fl
     return float(sign * np.max(sign * hi))
 
 
-def grow_to_invariant(
-    rs: ReducedSystem,
-    box: Hyperbox,
-    controls,
-    pts_per_axis: int = 5,
-    max_rounds: int = 60,
-    pad: float = 1e-3,
-) -> Hyperbox:
+def grow_to_invariant(rs: ReducedSystem, box: Hyperbox, controls) -> Hyperbox:
     """Expand a box until the reduced flow points inward on every face.
 
     On each face the normal vector-field component is sampled on a lattice
@@ -264,18 +243,18 @@ def grow_to_invariant(
     u_ends = np.array([controls.min(), controls.max()])
     lower = box.lower.copy()
     upper = box.upper.copy()
-    for _ in range(max_rounds):
+    for _ in range(_GROWTH_ROUNDS):
         grew = False
         for axis in range(lower.size):
             for sign in (1.0, -1.0):
                 face = upper[axis] if sign > 0 else lower[axis]
-                slice_pts = _face_slice(lower, upper, axis, face, pts_per_axis)
+                slice_pts = _face_slice(lower, upper, axis, face)
                 req = face
                 for u in u_ends:
                     root = _outermost_root(rs, slice_pts, axis, float(u), sign)
                     req = max(req, root) if sign > 0 else min(req, root)
                 if sign * (req - face) > 0:
-                    margin = pad * max(upper[axis] - lower[axis], 1e-12)
+                    margin = _FACE_PAD * max(upper[axis] - lower[axis], 1e-12)
                     if sign > 0:
                         upper[axis] = req + margin
                     else:

@@ -364,7 +364,7 @@ def test_criterion_10_interpolation_properties():
         assert np.all(vals <= rnd.max() + 1e-14) and np.all(vals >= rnd.min() - 1e-14)
         # continuity across an interior lattice plane of the first axis
         if grid.cells_per_axis[0] >= 2:
-            face = grid.axis_coords(0)[1]
+            face = grid.box.lower[0] + grid.edge[0]
             fpts = pts.copy()
             fpts[:, 0] = face
             left = fpts.copy()

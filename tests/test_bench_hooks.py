@@ -1,0 +1,74 @@
+"""The benchmark's hooks into the library still hold.
+
+``perfbench/tracing.py`` patches library functions by name and reads
+attributes of their results; ``perfbench/reference.py`` and
+``perfbench/warm.py`` call library functions directly.  A rename or a
+removed attribute breaks only the benchmark, which the other tests never
+run.  This test runs the traced pipeline on a tiny test-2 config and the
+set-up probe, and leaves every file under ``perfbench/`` as it is.
+"""
+
+import importlib
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+# perfbench's own top-level modules; they are imported for this file only
+_PERFBENCH_MODULES = ("bench", "reference", "tracing")
+
+
+@pytest.fixture(scope="module")
+def perfbench_modules():
+    """``bench`` and ``tracing`` from ``perfbench/``, with ``perfbench/`` on
+    ``sys.path`` only while they import; afterwards the path and the module
+    cache are as they were, so no other test sees these names."""
+    saved = {name: sys.modules.pop(name) for name in _PERFBENCH_MODULES if name in sys.modules}
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        bench = importlib.import_module("bench")
+        tracing = importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    try:
+        yield bench, tracing
+    finally:
+        for name in _PERFBENCH_MODULES:
+            sys.modules.pop(name, None)
+        sys.modules.update(saved)
+
+
+def test_traced_pipeline_emits_every_declared_layer_metric(tmp_path, perfbench_modules):
+    bench, tracing = perfbench_modules
+    tiny = bench._config("test2", 2, 0.3, 0.03, 5, 1e-6, False)
+    # the benchmark's traced run: two untraced solve passes, then snapshots,
+    # solve, simulate and compare-lqr under the tracer, then the reference
+    tracer = tracing.Tracer()
+    try:
+        result = bench.run_workload(
+            bench.Workload("tiny", tiny, members=1), 3, 0.0, tmp_path, tracer
+        )
+    finally:
+        tracer.uninstall()
+    assert result["failures"] == []
+    assert result["reference_ok"]
+    metrics, _ = tracing.layer_metrics(tracer, tracing.span_cost_s(samples=1000))
+    # run.py adds this one from the untraced passes
+    metrics["trace.solve_overhead_measured_frac"] = (
+        metrics["trace.solve_s"] / result["extras"]["untraced_solve_s"] - 1.0
+    )
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert sorted(metrics) == sorted(m["name"] for m in declared)
+    assert all(math.isfinite(value) for value in metrics.values())
+
+
+def test_warm_probe_runs():
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "warm.py")], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 
@@ -64,6 +65,17 @@ class TestConfig:
     def test_degenerate_horizon_rejected(self):
         with pytest.raises(ValidationError):
             cli.load_config(None, {"test": "test1", "T": 0.0})
+
+    @pytest.mark.parametrize(
+        "key, value", [("r", "4"), ("y0", 5), ("control_count", 11.5), ("ensure_invariance", 1)]
+    )
+    def test_value_of_wrong_kind_exits_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"test": "test2", key: value}))
+        out = tmp_path / "out"
+        assert cli.main(["snapshots", "--config", str(path), "--outdir", str(out)]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_nonpositive_discount_rejected(self):
         for lam in (0.0, -1.0):
@@ -320,6 +332,21 @@ class TestMainEntry:
         assert str(tmp_path / missing) in err
         assert f"run '{producer}' first" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_one_parser_for_every_command(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert cli.main(["report", "--outdir", str(tmp_path / "absent")]) == 2
+        assert len(built) == 1
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bogus", "--outdir", str(tmp_path)])
+        assert exc.value.code == 2
 
     def test_report_on_missing_directory(self, tmp_path):
         out = tmp_path / "absent"

@@ -124,15 +124,6 @@ class TestIntegrate:
         traj = hp.integrate(sys2, y0, 0.0, (0.0, 0.5), hp.IntegratorConfig(), [0.5])
         np.testing.assert_allclose(traj.states[-1], expm(0.5 * A) @ y0, rtol=0, atol=1e-9)
 
-    def test_derivatives_are_rhs_evaluations(self):
-        sys2 = hp.build_test2(8)
-        y0 = hp.test2_initial_state(8)
-        traj = hp.integrate(
-            sys2, y0, -1.0, (0.0, 0.4), hp.IntegratorConfig(), [0.0, 0.2, 0.4], with_derivatives=True
-        )
-        for k in range(3):
-            np.testing.assert_array_equal(traj.derivatives[k], sys2.rhs(traj.states[k], -1.0))
-
     def test_tolerance_self_consistency(self):
         sys2 = hp.build_test2(16)
         y0 = hp.test2_initial_state(16)
@@ -176,8 +167,14 @@ def test_trajectory_csv_roundtrip(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "t,y_1,u"
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    np.testing.assert_allclose(data[:, 0], traj.times)
-    np.testing.assert_allclose(data[:, 1], traj.states[:, 0])
+    np.testing.assert_array_equal(data[:, 0], traj.times)
+    np.testing.assert_array_equal(data[:, 1], traj.states[:, 0])
+    np.testing.assert_array_equal(data[:, 2], traj.controls)
+
+
+def test_unknown_nonlinearity_rejected():
+    with pytest.raises(ValidationError, match="nonlinearity"):
+        hp.SystemStructure(linear=np.eye(2), control_gain=np.ones(2), nonlinearity="quadratic")
 
 
 class TestLoadSystem:

@@ -37,12 +37,6 @@ class TestBuildGrid:
         with pytest.raises(GridBudgetError):
             hp.build_grid(unit_box(4), 0.001, node_budget=1000)
 
-    def test_node_coords_round_trip(self):
-        g = hp.build_grid(unit_box(2), 0.5)
-        nodes = g.all_nodes()
-        for flat in (0, 5, g.node_count - 1):
-            np.testing.assert_array_equal(g.node_coords(flat), nodes[flat])
-
 
 class TestStencil:
     def test_lattice_node_gets_unit_weight(self):
@@ -55,7 +49,7 @@ class TestStencil:
         idx, wts = stencil_batch(g, np.array([[0.5, 0.75]]))
         assert wts[0].max() == 1.0
         assert wts[0].sum() == pytest.approx(1.0, abs=1e-15)
-        node = g.node_coords(idx[0, np.argmax(wts[0])])
+        node = g.all_nodes()[idx[0, np.argmax(wts[0])]]
         np.testing.assert_array_equal(node, [0.5, 0.75])
 
     def test_hand_computed_2d(self):
@@ -65,7 +59,7 @@ class TestStencil:
         )
         idx, wts = stencil_batch(g, np.array([[0.7, 0.2]]))
         np.testing.assert_allclose(wts[0], [0.3, 0.5, 0.2], atol=1e-15)
-        verts = [g.node_coords(i) for i in idx[0]]
+        verts = g.all_nodes()[idx[0]]
         np.testing.assert_array_equal(verts, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
 
     def test_tie_is_deterministic(self):
@@ -192,7 +186,7 @@ class TestInterpolationProperties:
     def test_cross_face_continuity(self, rng):
         g = hp.build_grid(unit_box(3), 0.7)
         nodal = rng.normal(size=g.node_count)
-        face_x = g.axis_coords(0)[1]  # interior lattice plane
+        face_x = g.box.lower[0] + g.edge[0]  # interior lattice plane
         for _ in range(50):
             p = np.array([face_x, rng.uniform(0, 1), rng.uniform(0, 1)])
             left = hp.interpolate(g, nodal, p - np.array([1e-13, 0, 0]))
@@ -205,7 +199,8 @@ class TestAlignedGrid:
         box = Hyperbox(np.array([-0.37, -0.11]), np.array([0.53, 0.4]))
         g = aligned_grid(box, 0.2)
         for axis in range(2):
-            assert np.min(np.abs(g.axis_coords(axis))) < 1e-12
+            coords = g.box.lower[axis] + g.edge[axis] * np.arange(g.node_shape[axis])
+            assert np.min(np.abs(coords)) < 1e-12
 
     def test_contains_original_box(self):
         box = Hyperbox(np.array([-0.37]), np.array([0.53]))

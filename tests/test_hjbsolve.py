@@ -187,7 +187,7 @@ class TestInitialValueGuess:
         grid = hp.build_grid(box, 0.4)
         fast = hp.initial_value_guess(grid, rs, [-1.0, 1.0], 1.0, 0.05, 1.0)
         rs_slow = ReducedSystem(basis, sys1, 3)
-        rs_slow._fast = False  # force the generic numpy path
+        rs_slow.structured = False  # force the generic numpy path
         slow = hp.initial_value_guess(grid, rs_slow, [-1.0, 1.0], 1.0, 0.05, 1.0)
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
 

@@ -83,23 +83,26 @@ def test_lqr_beats_constant_controls():
 class TestCompareControls:
     def test_identical_series(self):
         u = np.array([0.5, -0.2, 0.0])
-        comp = compare_controls(u, u)
+        t = np.arange(3.0)
+        comp = compare_controls(u, u, t, t)
+        assert isinstance(comp, ControlComparison)
         assert np.all(comp.relative_error == 0.0)
         assert comp.median == 0.0 and comp.max == 0.0
+        np.testing.assert_array_equal(comp.times, t)
 
     def test_floor_active(self):
-        comp = compare_controls(np.full(4, 0.001), np.zeros(4))
+        t = np.arange(4.0)
+        comp = compare_controls(np.full(4, 0.001), np.zeros(4), t, t)
         np.testing.assert_allclose(comp.relative_error, 1.0)
 
     def test_hand_computed_ratio(self):
-        comp = compare_controls(np.full(3, -0.45), np.full(3, -0.5))
+        t = np.arange(3.0)
+        comp = compare_controls(np.full(3, -0.45), np.full(3, -0.5), t, t)
         np.testing.assert_allclose(comp.relative_error, 0.1)
 
     def test_misaligned_grids(self):
         t1 = np.linspace(0, 1, 5)
-        t2 = np.linspace(0, 1, 9)
         with pytest.raises(ValidationError):
-            compare_controls(np.zeros(5), np.zeros(9), t1, t2)
-        comp = compare_controls(np.zeros(5), np.linspace(0, 1, 9), t1, t2, resample=True)
-        assert isinstance(comp, ControlComparison)
-        np.testing.assert_allclose(comp.relative_error * np.maximum(1e-3, t1), t1)
+            compare_controls(np.zeros(5), np.zeros(9), t1, np.linspace(0, 1, 9))
+        with pytest.raises(ValidationError):
+            compare_controls(np.zeros(5), np.zeros(5), t1, t1 + 1e-9)

@@ -34,6 +34,13 @@ class TestGenerateSnapshots:
         _, snap, _ = test1_bundle
         assert snap.p == 3 and snap.N == 61
 
+    def test_derivatives_are_rhs_evaluations(self):
+        sys2 = hp.build_test2(8)
+        y0 = hp.test2_initial_state(8)
+        snap = hp.generate_snapshots(sys2, [-1.0], y0, 0.2, 0.4, hp.IntegratorConfig())
+        for k in range(3):
+            np.testing.assert_array_equal(snap.derivs[0, k], sys2.rhs(snap.states[0, k], -1.0))
+
     def test_quotient_at_zero(self):
         sys_d = make_decay_system()
         snap = hp.generate_snapshots(sys_d, [0.0], np.ones(1), 0.5, 1.0, quotient_at_zero=True)
