@@ -1,37 +1,38 @@
-"""Hot numerical kernels of the dynamic-programming solve, in numpy.
+"""Hot numerical kernels of the dynamic-programming solve, in numpy and scipy.
 
-Each kernel works on whole blocks of nodes at once.  There are no compiled
-or parallel kernels, so results do not depend on the thread count.
+A sweep is one sparse matrix-vector product over every (node, control)
+pair; the warm-start rollouts advance all nodes at once.  There are no
+compiled or parallel kernels, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 # There is no compiled backend; perfbench records this flag with every run.
 HAVE_NUMBA = False
-
-# Nodes per gather block of a sweep; bounds the memory of the gathered
-# (nodes, controls, r+1) temporaries on large grids.
-_SWEEP_CHUNK = 100_000
 
 
 def sweep(v, idx, wts, g, one_minus_lh, h):
     """One Jacobi sweep of the discrete dynamic-programming operator.
 
+    The stencils form a CSR matrix with one row per (node, control) pair,
+    node-major (row ``i*nu + l``), whose ``indices`` and ``data`` are views
+    of ``idx`` and ``wts``.  Each row sums its stencil in vertex order.
+
     Returns the updated nodal values and the per-node argmin control index
     (ties resolve to the lowest index, hence the smallest control value
     when the control list is sorted ascending).
     """
-    nc = idx.shape[0]
-    v_new = np.empty(nc)
-    argmin = np.empty(nc, dtype=np.int32)
-    for start in range(0, nc, _SWEEP_CHUNK):
-        sl = slice(start, min(start + _SWEEP_CHUNK, nc))
-        vals = one_minus_lh * np.einsum("ilq,ilq->il", wts[sl], v[idx[sl]]) + h * g[sl]
-        argmin[sl] = np.argmin(vals, axis=1).astype(np.int32)
-        v_new[sl] = np.take_along_axis(vals, argmin[sl][:, None], axis=1)[:, 0]
-    return v_new, argmin
+    nc, nu, s = idx.shape
+    indptr = np.arange(0, nc * nu * s + 1, s, dtype=np.int32)
+    op = sparse.csr_array((wts.reshape(-1), idx.reshape(-1), indptr), shape=(nc * nu, nc))
+    vals = (op @ v).reshape(nc, nu)
+    vals *= one_minus_lh
+    vals += h * g
+    argmin = np.argmin(vals, axis=1).astype(np.int32)
+    return np.take_along_axis(vals, argmin[:, None], axis=1)[:, 0], argmin
 
 
 def guess_structured(nodes, a_eff, b_red, cubic, controls, lam, h, n_steps, cost_cw, blow_sq):

@@ -159,9 +159,16 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     """Merge per-test defaults, a JSON config file, and CLI overrides."""
     data: dict = {}
     if path:
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ValidationError(f"config file {path} must hold a JSON object")
     test = overrides.get("test") or data.get("test") or "test1"
+    if not isinstance(test, str):
+        raise ValidationError(f"config key 'test' in {path} must be a str, got {test!r}")
     merged: dict = {"test": test}
     merged.update(_TEST_DEFAULTS.get(test, {}))
     merged.update({k: v for k, v in data.items() if v is not None})

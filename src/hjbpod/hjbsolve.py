@@ -7,8 +7,9 @@ The nodal fixed-point relation is
 
 with I the piecewise-linear interpolation of the grid.  Arrival points,
 their interpolation stencils and the stage costs are static across sweeps
-and precomputed into an :class:`ArrivalCache`; each Jacobi sweep is then a
-numpy gather-and-minimize pass, a contraction with factor (1 - lam*h).
+and precomputed into an :class:`ArrivalCache`; each Jacobi sweep is then one
+sparse matrix-vector product over every (node, control) pair followed by a
+minimum over the controls, a contraction with factor (1 - lam*h).
 There are no compiled or parallel kernels.
 """
 
@@ -122,6 +123,9 @@ def build_arrival_cache(
         raise ValidationError("scheme step h must be positive")
     if clamp_policy not in ("clamp", "reject"):
         raise ValidationError(f"unknown clamp policy {clamp_policy!r}")
+    if entry_budget > np.iinfo(np.int32).max:
+        # the sweep addresses the cache through an int32 CSR row pointer
+        raise ValidationError(f"cache entry budget {entry_budget} exceeds the int32 range")
     lo, hi = rs.full.control_box
     vals = controls.values
     if vals[0] < lo - 1e-12 or vals[-1] > hi + 1e-12:

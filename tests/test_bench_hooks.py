@@ -65,6 +65,13 @@ def test_traced_pipeline_emits_every_declared_layer_metric(tmp_path, perfbench_m
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert sorted(metrics) == sorted(m["name"] for m in declared)
     assert all(math.isfinite(value) for value in metrics.values())
+    # the work counters come from the patched library calls: a solve or a
+    # simulation that stops calling them zeroes its counter
+    assert metrics["hjbsolve.value_iteration.sweeps"] >= 1
+    assert metrics["hjbsolve.value_iteration.s_per_sweep"] > 0
+    # one stencil of r+1 = 3 vertices per node and each of the 5 controls
+    assert metrics["hjbsolve.build_arrival_cache.entries"] == metrics["hjbgrid.grid.nodes"] * 5 * 3
+    assert metrics["hjbsolve.FeedbackPolicy.calls"] > 0
 
 
 def test_warm_probe_runs():

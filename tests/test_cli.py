@@ -77,6 +77,19 @@ class TestConfig:
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text", ["[1, 2]", '{"test": ["test2"]}', '{"test": "test2", "r":', None],
+        ids=["not-an-object", "test-not-a-str", "truncated", "missing"],
+    )
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main(["snapshots", "--config", str(path), "--outdir", str(out)]) == 2
+        assert str(path) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nonpositive_discount_rejected(self):
         for lam in (0.0, -1.0):
             with pytest.raises(ValidationError, match="lam"):

@@ -127,6 +127,14 @@ class TestBuildArrivalCache:
                 grid, toy_reduced, hp.ControlSet(np.array([0.0])), 0.002, entry_budget=10
             )
 
+    def test_budget_beyond_int32_rejected(self, toy_reduced):
+        # the sweep's CSR row pointer is int32, so no budget may exceed its range
+        with pytest.raises(ValidationError, match="int32"):
+            hp.build_arrival_cache(
+                toy_grid(), toy_reduced, hp.ControlSet(np.array([0.0])), 0.002,
+                entry_budget=np.iinfo(np.int32).max + 1,
+            )
+
     def test_reject_policy(self):
         sys1 = hp.ControlledSystem(
             n=1, rhs=lambda y, u: np.ones(1), running_cost=lambda y, u: 0.0,
@@ -353,8 +361,54 @@ def test_sweep_matches_per_node_loop(toy_solution_free, rng):
     args = (v, cache.indices, cache.weights, cache.stage_cost, 0.998, 0.002)
     ref_v, ref_a = _sweep_per_node(*args)
     got_v, got_a = _accel.sweep(*args)
-    np.testing.assert_allclose(got_v, ref_v, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(got_v, ref_v)
     np.testing.assert_array_equal(got_a, ref_a)
+
+
+@pytest.mark.parametrize("nc, nu, s", [(200, 11, 5), (300, 7, 7)])
+def test_sweep_matches_per_node_loop_on_random_stencils(rng, nc, nu, s):
+    # stencils of r+1 = s random vertices with Dirichlet weights: the sweep
+    # sums each stencil in vertex order, exactly as the plain loop does
+    from hjbpod import _accel
+
+    idx = rng.integers(0, nc, size=(nc, nu, s)).astype(np.int32)
+    wts = rng.dirichlet(np.ones(s), size=(nc, nu))
+    g = rng.uniform(0.0, 1.0, size=(nc, nu))
+    # at every tenth node the last control repeats the first at a cost low
+    # enough to win: an exact tie at the minimum, which goes to control 0
+    idx[::10, -1], wts[::10, -1] = idx[::10, 0], wts[::10, 0]
+    g[::10, 0] = g[::10, -1] = -1e4
+    v = rng.normal(size=nc)
+    args = (v, idx, wts, g, 0.998, 0.002)
+    ref_v, ref_a = _sweep_per_node(*args)
+    got_v, got_a = _accel.sweep(*args)
+    np.testing.assert_array_equal(got_v, ref_v)
+    np.testing.assert_array_equal(got_a, ref_a)
+    assert np.all(got_a[::10] == 0)
+
+
+def test_sweep_operator_shares_the_cache_arrays(toy_solution_free, rng, monkeypatch):
+    # the sweep's CSR matrix holds the cache's stencil arrays, not copies
+    from scipy import sparse
+
+    from hjbpod import _accel
+
+    make, built = sparse.csr_array, []
+
+    def csr_array(*args, **kwargs):
+        built.append(make(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(_accel.sparse, "csr_array", csr_array)
+    grid, cache = toy_solution_free
+    _accel.sweep(
+        rng.normal(size=grid.node_count), cache.indices, cache.weights, cache.stage_cost,
+        0.998, 0.002,
+    )
+    (op,) = built
+    assert np.shares_memory(op.data, cache.weights)
+    assert np.shares_memory(op.indices, cache.indices)
+    assert op.indptr.dtype == np.int32
 
 
 class TestFeedback:
