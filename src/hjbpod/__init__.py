@@ -10,6 +10,7 @@ oracle for linear-quadratic problems.
 
 from .dynamics import (
     ControlledSystem,
+    FeedbackLaw,
     IntegratorConfig,
     SystemStructure,
     Trajectory,
@@ -26,6 +27,7 @@ from .hjbgrid import (
     build_grid,
     ensure_invariant_grid,
     interpolate,
+    interpolate_gradient,
 )
 from .hjbsolve import (
     ArrivalCache,

@@ -11,11 +11,12 @@ approximate the L2 inner product on the spatial interval.
 from __future__ import annotations
 
 import importlib
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import (
@@ -25,6 +26,10 @@ from .errors import (
 )
 
 Array = np.ndarray
+
+# Steps LSODA may take between two output times.  odeint's default of 500
+# is too few for a single long interval at the default tolerance of 1e-12.
+_MXSTEP = 100_000
 
 
 @dataclass(frozen=True)
@@ -108,22 +113,30 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and method selection for :func:`integrate`.
-
-    ``method`` is either ``"stiff"`` (adaptive implicit, suitable for the
-    diffusion-dominated test problems) or ``"explicit"`` (adaptive
-    Runge-Kutta).
-    """
+    """Relative and absolute tolerances of LSODA in :func:`integrate`."""
 
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    method: str = "stiff"
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValidationError("integrator tolerances must be positive")
-        if self.method not in ("stiff", "explicit"):
-            raise ValidationError(f"unknown integrator method {self.method!r}")
+
+
+@dataclass(frozen=True)
+class FeedbackLaw:
+    """A state feedback ``u(y)`` together with its gradient ``du/dy``.
+
+    :func:`integrate` turns the gradient into the exact closed-loop
+    Jacobian.  Any object with ``__call__`` and ``gradient`` serves the same
+    purpose, :class:`~hjbpod.hjbsolve.FeedbackPolicy` among them.
+    """
+
+    law: Callable[[Array], float]
+    gradient: Callable[[Array], Array]
+
+    def __call__(self, y: Array) -> float:
+        return self.law(y)
 
 
 def _tridiag_matvec(sub: float, diag: float, sup: float, y: Array) -> Array:
@@ -286,14 +299,22 @@ def integrate(
     cfg: IntegratorConfig | None = None,
     sample_times: Sequence[float] | None = None,
 ) -> Trajectory:
-    """Integrate ``y' = f(y, u)`` and sample the solution.
+    """Integrate ``y' = f(y, u)`` with LSODA and sample the solution.
 
     ``control`` is a scalar (held constant) or a state feedback ``u(y)``.
-    A feedback closes the loop: the system Jacobian lacks its term, so the
-    stiff solver then differences the closed-loop rhs instead.  Sampled
-    controls are the controls at the sampled states.  Raises
-    :class:`IntegrationFailure` carrying the failure time if the solver
-    cannot complete the span.
+    The whole span, from ``t0`` to the last sample time, is one
+    ``scipy.integrate.odeint`` call.  LSODA gets the exact Jacobian when
+    one is known: the system's own for a scalar control, and
+    ``J_f(y, u(y)) + b grad u(y)^T`` for a feedback with a ``gradient``
+    method (:class:`FeedbackLaw`, :class:`~hjbpod.hjbsolve.FeedbackPolicy`)
+    on a system with a ``jacobian`` and a :class:`SystemStructure`, whose
+    rhs is affine in u with gain ``b``.  Otherwise LSODA differences the
+    closed-loop rhs.  Sampled controls are the controls at the sampled
+    states.  ``sample_times`` (default ``(t0, t1)``) must be strictly
+    increasing and inside ``t_span``.  Raises :class:`IntegrationFailure`
+    if LSODA does not complete the span or its output is not finite; the
+    failure carries the last time at which the rhs was evaluated and the
+    last sample that was completed.
     """
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
@@ -301,6 +322,10 @@ def integrate(
         raise ValidationError("t_span must satisfy t0 <= t1")
     if callable(control):
         law, jac = control, None
+        gradient = getattr(control, "gradient", None)
+        if gradient is not None and sys.jacobian is not None and sys.structure is not None:
+            gain = sys.structure.control_gain
+            jac = lambda t, y: sys.jacobian(y, law(y)) + np.outer(gain, gradient(y))
     else:
         value = float(control)
         law = lambda y: value
@@ -310,6 +335,8 @@ def integrate(
     if sample_times is None:
         sample_times = np.array([t0, t1]) if t1 > t0 else np.array([t0])
     ts = np.asarray(sample_times, dtype=float)
+    if np.any(np.diff(ts) <= 0):
+        raise ValidationError("sample_times must be strictly increasing")
     if ts.size and (ts[0] < t0 - 1e-12 or ts[-1] > t1 + 1e-12):
         raise ValidationError("sample_times must lie within t_span")
 
@@ -317,23 +344,31 @@ def integrate(
         ts = np.array([t0])
         states = y0[None, :].copy()
     else:
-        method = "LSODA" if cfg.method == "stiff" else "RK45"
-        kwargs = {"jac": jac} if method == "LSODA" and jac is not None else {}
-        sol = solve_ivp(
-            lambda t, y: sys.rhs(y, law(y)),
-            (t0, t1),
-            y0,
-            method=method,
-            dense_output=True,
-            rtol=cfg.rel_tol,
-            atol=cfg.abs_tol,
-            **kwargs,
-        )
-        if not sol.success:
-            t_fail = float(sol.t[-1]) if sol.t.size else t0
-            y_fail = sol.y[:, -1] if sol.t.size else y0
-            raise IntegrationFailure(f"integration failed: {sol.message}", t_fail, y_fail)
-        states = np.ascontiguousarray(sol.sol(ts).T)
+        last_t = [t0]
+
+        def rhs(t, y):
+            last_t[0] = t
+            return sys.rhs(y, law(y))
+
+        times = np.concatenate(([t0], np.clip(ts, t0, t1)))
+        with warnings.catch_warnings():
+            # the failure is raised below, with its message
+            warnings.simplefilter("ignore", ODEintWarning)
+            out, info = odeint(
+                rhs, y0, times, Dfun=jac, full_output=True, tfirst=True,
+                rtol=cfg.rel_tol, atol=cfg.abs_tol, mxstep=_MXSTEP,
+            )
+        complete = np.isfinite(out).all(axis=1)
+        failed = info["message"] != "Integration successful."
+        if failed:
+            # LSODA stopped before the first sample its last step did not reach
+            complete[1:] &= info["tcur"] >= times[1:]
+        if failed or not complete.all():
+            n_done = int(np.argmin(np.append(complete, False)))
+            raise IntegrationFailure(
+                f"integration failed: {info['message']}", float(last_t[0]), out[max(n_done - 1, 0)]
+            )
+        states = out[1:]
 
     controls = np.array([law(y) for y in states], dtype=float)
     return Trajectory(ts, states, controls)

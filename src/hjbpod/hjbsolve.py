@@ -24,7 +24,7 @@ import numpy as np
 from . import _accel
 from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
 from .errors import CacheBudgetError, NumericalError, ValidationError
-from .hjbgrid import SimplexGrid, interpolate, stencil_batch
+from .hjbgrid import SimplexGrid, interpolate, interpolate_gradient, stencil_batch
 from .pod import PODBasis, _check_rank
 from .reduced import InvarianceReport, ReducedSystem, clipped_arrivals
 
@@ -320,6 +320,8 @@ class FeedbackPolicy:
     of the table's grid, interpolates the control table at that one point
     (:func:`~hjbpod.hjbgrid.interpolate`, whose grid constants are built once
     per grid) and clips to the span of the table's control set.
+    :meth:`gradient` differentiates the law, so that :func:`integrate` can
+    give LSODA the exact closed-loop Jacobian.
     """
 
     basis: PODBasis
@@ -339,6 +341,17 @@ class FeedbackPolicy:
         u = interpolate(grid, self.table.controls, coeffs)
         values = self.table.control_set.values
         return float(min(max(u, values[0]), values[-1]))
+
+    def gradient(self, y: Array) -> Array:
+        """Gradient of the law in ``y``: the chain rule through the projection,
+        the box clamp (flat outside the box) and the interpolant.  The final
+        clip never binds, since interpolated table values stay inside the
+        control span."""
+        grid = self.table.grid
+        modes = self.basis.modes[: grid.r]
+        weight = self.basis.weight
+        coeffs = modes @ (weight * np.asarray(y, dtype=float))
+        return weight * (interpolate_gradient(grid, self.table.controls, coeffs) @ modes)
 
 
 def simulate_closed_loop(

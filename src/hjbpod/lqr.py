@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_continuous_lyapunov
 
-from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
+from .dynamics import ControlledSystem, FeedbackLaw, IntegratorConfig, Trajectory, integrate
 from .errors import CareSolveError, ValidationError
 
 Array = np.ndarray
@@ -145,10 +145,15 @@ def simulate_lqr(
     cfg: IntegratorConfig | None = None,
     sample_dt: float = 0.05,
 ) -> Trajectory:
-    """Closed-loop trajectory under the (unclipped) LQR feedback law."""
+    """Closed-loop trajectory under the (unclipped) LQR feedback law.
+
+    The law carries its gradient ``-gain``, so LSODA gets the exact
+    closed-loop Jacobian ``A - b gain^T``.
+    """
     n_samp = int(round(t_e / sample_dt))
     sample_times = np.linspace(0.0, t_e, n_samp + 1)
-    return integrate(sys, y0, lambda y: lqr_feedback(care, y), (0.0, t_e), cfg, sample_times)
+    law = FeedbackLaw(lambda y: lqr_feedback(care, y), lambda y: -care.gain)
+    return integrate(sys, y0, law, (0.0, t_e), cfg, sample_times)
 
 
 @dataclass(frozen=True)

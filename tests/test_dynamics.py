@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm, solve
@@ -153,10 +157,35 @@ class TestIntegrate:
             n=1, rhs=lambda y, u: np.asarray(y) ** 2, running_cost=lambda y, u: 0.0,
             weight=np.ones(1), control_box=(-1, 1), label="blow",
         )
-        cfg = hp.IntegratorConfig(1e-9, 1e-9, method="explicit")
         with pytest.raises(hp.errors.IntegrationFailure) as exc:
-            hp.integrate(sys_blow, np.ones(1), 0.0, (0.0, 2.0), cfg)
+            hp.integrate(sys_blow, np.ones(1), 0.0, (0.0, 2.0))
         assert 0.9 < exc.value.time <= 2.0
+
+    @pytest.mark.parametrize("times", [[0.0, 0.5, 0.2], [0.0, 0.2, 0.2, 0.5]])
+    def test_unsorted_sample_times_rejected_before_integrating(self, times):
+        calls = []
+        sys_d = make_decay_system()
+        rhs = sys_d.rhs
+        sys_d = dataclasses.replace(sys_d, rhs=lambda y, u: calls.append(1) or rhs(y, u))
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            hp.integrate(sys_d, np.ones(1), 0.0, (0.0, 1.0), None, times)
+        assert calls == []
+
+    def test_repeated_calls_leave_no_memory_behind(self):
+        sys2 = hp.build_test2(100)
+        y0 = hp.test2_initial_state(100)
+        hp.integrate(sys2, y0, -1.0, (0.0, 0.5))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(20):
+                hp.integrate(sys2, y0, -1.0, (0.0, 0.5))
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert live < 64_000
 
 
 def test_trajectory_csv_roundtrip(tmp_path):

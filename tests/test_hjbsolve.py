@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import hjbpod as hp
+from hjbpod import dynamics
 from hjbpod.errors import CacheBudgetError, InvalidPointError, ValidationError
 from hjbpod.hjbgrid import aligned_grid, stencil_batch
 from hjbpod.hjbsolve import ArrivalCache
@@ -469,6 +472,55 @@ class TestFeedback:
         with pytest.raises(InvalidPointError):
             hp.FeedbackPolicy(toy_reduced.basis, table)(np.array([np.nan]))
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_gradient_matches_central_differences(self, r, rng):
+        box = Hyperbox(-rng.uniform(0.5, 2, r), rng.uniform(0.5, 2, r))
+        values = np.linspace(-1.0, 1.0, 5)
+        n = r + 2
+        # a random weighted-orthonormal basis: projection mixes every state entry
+        weight = rng.uniform(0.5, 2.0, n)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        basis = hp.PODBasis(
+            modes=q.T / np.sqrt(weight), eigvals=np.ones(n), tau=1.0, p=0, N=0, weight=weight,
+        )
+        eps = 1e-7
+        for grid in (dyadic_grid(r), hp.build_grid(box, float(np.linalg.norm(box.width) / 3))):
+            table = hp.ControlTable(
+                grid=grid, controls=rng.choice(values, grid.node_count),
+                control_set=hp.ControlSet(values),
+            )
+            policy = hp.FeedbackPolicy(basis, table)
+            for _ in range(10):
+                # distinct fractional coordinates well inside (0, 1): strictly
+                # inside one Kuhn simplex
+                theta = rng.permutation(np.linspace(0.1, 0.9, r)) + rng.uniform(-0.02, 0.02, r)
+                cell = rng.integers(0, grid.cells_per_axis)
+                coeffs = grid.box.lower + grid.edge * (cell + theta)
+                y = np.concatenate([coeffs, rng.normal(size=2)]) @ basis.modes
+                grad = policy.gradient(y)
+                fd = np.array(
+                    [(policy(y + eps * e) - policy(y - eps * e)) / (2 * eps) for e in np.eye(n)]
+                )
+                np.testing.assert_allclose(fd, grad, rtol=5e-6, atol=5e-6 * np.abs(grad).max())
+
+    def test_gradient_zero_beyond_a_face(self, rng):
+        grid = dyadic_grid(3)
+        values = np.linspace(-1.0, 1.0, 5)
+        table = hp.ControlTable(
+            grid=grid, controls=rng.choice(values, grid.node_count),
+            control_set=hp.ControlSet(values),
+        )
+        # unit weights: the projected coordinates are the state entries
+        policy = hp.FeedbackPolicy(hp.identity_basis(np.ones(3)), table)
+        for y in ([1.7, 0.3, -0.4], [0.3, -1.2, 0.1], [-3.0, 0.6, 2.0]):
+            y = np.array(y)
+            grad = policy.gradient(y)
+            beyond = np.abs(y) > 1.0
+            assert np.all(grad[beyond] == 0.0)
+            np.testing.assert_array_equal(
+                grad[~beyond], hp.interpolate_gradient(grid, table.controls, y)[~beyond]
+            )
+
     def test_rank_checked_at_construction(self):
         table = hp.ControlTable(
             grid=dyadic_grid(3), controls=np.zeros(5**3),
@@ -488,23 +540,92 @@ def composed_feedback(basis, table, y):
     return float(np.clip(u, values[0], values[-1]))
 
 
+@pytest.fixture(scope="module")
+def test2_table(test2_bundle):
+    """A coarse r=2 control table for test2."""
+    sys2, snap, basis = test2_bundle
+    h = 0.02
+    rs = ReducedSystem(basis, sys2, 2)
+    grid = aligned_grid(hp.build_domain(basis, snap, 2), 0.2)
+    cache = hp.build_arrival_cache(grid, rs, hp.ControlSet.uniform(-2.2, 0.0, 5), h)
+    _, table = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, h, 1e-5)
+    return table
+
+
+def spy_on_odeint(monkeypatch):
+    """Record the ``Dfun`` of every odeint call that integrate makes."""
+    seen = []
+    odeint = dynamics.odeint
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("Dfun"))
+        return odeint(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "odeint", spy)
+    return seen
+
+
+def counting_rhs(sys_obj):
+    """The system with an rhs that counts its calls in the returned list."""
+    calls = []
+    rhs = sys_obj.rhs
+
+    def counted(y, u):
+        calls.append(1)
+        return rhs(y, u)
+
+    return dataclasses.replace(sys_obj, rhs=counted), calls
+
+
 class TestClosedLoop:
-    def test_equals_integrate_with_composed_law(self, test2_bundle):
-        sys2, snap, basis = test2_bundle
-        h = 0.02
-        rs = ReducedSystem(basis, sys2, 2)
-        grid = aligned_grid(hp.build_domain(basis, snap, 2), 0.2)
-        cache = hp.build_arrival_cache(grid, rs, hp.ControlSet.uniform(-2.2, 0.0, 5), h)
-        _, table = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, h, 1e-5)
+    def test_equals_integrate_with_composed_law(self, test2_bundle, test2_table):
+        sys2, _, basis = test2_bundle
+        table = test2_table
         y0 = hp.test2_initial_state(100)
         cfg = hp.IntegratorConfig()
         traj = hp.simulate_closed_loop(sys2, basis, table, y0, 1.0, cfg, sample_dt=0.1)
-        ref = hp.integrate(
-            sys2, y0, lambda y: composed_feedback(basis, table, y), (0.0, 1.0), cfg, traj.times
+        law = hp.FeedbackLaw(
+            lambda y: composed_feedback(basis, table, y), hp.FeedbackPolicy(basis, table).gradient
         )
+        ref = hp.integrate(sys2, y0, law, (0.0, 1.0), cfg, traj.times)
         np.testing.assert_array_equal(traj.states, ref.states)
         np.testing.assert_array_equal(traj.controls, ref.controls)
         assert np.ptp(traj.controls) > 0
+
+    def test_jacobian_passed_only_with_gradient_and_structure(
+        self, test2_bundle, test2_table, monkeypatch
+    ):
+        sys2, _, basis = test2_bundle
+        policy = hp.FeedbackPolicy(basis, test2_table)
+        y0 = hp.test2_initial_state(100)
+        seen = spy_on_odeint(monkeypatch)
+        hp.integrate(sys2, y0, policy, (0.0, 0.1))
+        hp.integrate(sys2, y0, lambda y: policy(y), (0.0, 0.1))
+        hp.integrate(dataclasses.replace(sys2, structure=None), y0, policy, (0.0, 0.1))
+        assert callable(seen[0])
+        assert seen[1:] == [None, None]
+        # the closed-loop Jacobian: A plus the control gain times the law's gradient
+        A = sys2.structure.linear
+        b = sys2.structure.control_gain
+        y = 0.5 * y0
+        np.testing.assert_allclose(
+            seen[0](0.0, y), A + np.outer(b, policy.gradient(y)), rtol=0, atol=1e-12
+        )
+
+    def test_exact_jacobian_matches_differencing_with_fewer_rhs_calls(
+        self, test2_bundle, test2_table
+    ):
+        sys2, _, basis = test2_bundle
+        policy = hp.FeedbackPolicy(basis, test2_table)
+        y0 = hp.test2_initial_state(100)
+        times = np.linspace(0.0, 3.0, 31)
+        counted_sys, calls = counting_rhs(sys2)
+        exact = hp.integrate(counted_sys, y0, policy, (0.0, 3.0), None, times)
+        exact_calls = len(calls)
+        calls.clear()
+        differenced = hp.integrate(counted_sys, y0, lambda y: policy(y), (0.0, 3.0), None, times)
+        np.testing.assert_allclose(exact.states, differenced.states, rtol=0, atol=1e-8)
+        assert 2 * exact_calls <= len(calls)
 
     def test_zero_policy_matches_uncontrolled(self):
         sys2 = hp.build_test2(12)

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import solve_continuous_are
 
 import hjbpod as hp
+from hjbpod import lqr
 from hjbpod.errors import CareSolveError, ValidationError
 from hjbpod.lqr import (
     ControlComparison,
@@ -64,6 +65,26 @@ class TestLqrFeedback:
         assert hp.lqr_feedback(scalar_care, 2 * y) == pytest.approx(
             2 * hp.lqr_feedback(scalar_care, y), rel=1e-14
         )
+
+
+def test_simulate_lqr_law_has_gradient_minus_gain(scalar_care, monkeypatch, rng):
+    laws = []
+    integrate = lqr.integrate
+
+    def spy(sys_obj, y0, law, *args):
+        laws.append(law)
+        return integrate(sys_obj, y0, law, *args)
+
+    monkeypatch.setattr(lqr, "integrate", spy)
+    sys_s = hp.ControlledSystem(
+        n=1, rhs=lambda y, u: -0.5 * np.asarray(y) + u, running_cost=lambda y, u: 0.0,
+        weight=np.ones(1), control_box=(-1.0, 1.0), label="scalar",
+    )
+    simulate_lqr(sys_s, scalar_care, np.ones(1), 1.0)
+    (law,) = laws
+    y = rng.normal(size=1)
+    assert law(y) == hp.lqr_feedback(scalar_care, y)
+    np.testing.assert_array_equal(law.gradient(y), -scalar_care.gain)
 
 
 def test_lqr_beats_constant_controls():
