@@ -1,14 +1,18 @@
 """Hot numerical kernels of the dynamic-programming solve, in numpy and scipy.
 
 A sweep is one sparse matrix-vector product over every (node, control)
-pair; the warm-start rollouts advance all nodes at once.  There are no
-compiled or parallel kernels, so results do not depend on the thread count.
+pair; the warm-start rollouts advance all live nodes at once, with the
+reduced cubic taken over its unique monomials
+(:func:`~hjbpod.reduced.cubic_batch`).  There are no compiled or parallel
+kernels, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+
+from .reduced import cubic_batch
 
 # There is no compiled backend; perfbench records this flag with every run.
 HAVE_NUMBA = False
@@ -35,33 +39,58 @@ def sweep(v, idx, wts, g, one_minus_lh, h):
     return np.take_along_axis(vals, argmin[:, None], axis=1)[:, 0], argmin
 
 
-def guess_structured(nodes, a_eff, b_red, cubic, controls, lam, h, n_steps, cost_cw, blow_sq):
-    """Constant-control explicit-Euler cost minima for structured systems.
+def rollout_minima(nodes, controls, cost, rhs, lam, h, n_steps, blow_sq):
+    """Constant-control explicit-Euler cost minima over the controls.
 
-    Returns the per-node minimum over the controls of the discounted cost,
-    the nodes where every rollout blew up (their minimum is inf), and the
-    largest stage cost seen along each node's rollouts before blow-up.
+    ``cost(y, u)`` and ``rhs(y, u)`` map a block of states to their stage
+    costs and vector-field rows.  A rollout dies, and its discounted cost
+    becomes inf, once its squared norm exceeds ``blow_sq``; from then on
+    its row is no longer advanced, so a blown-up state never overflows.
+    Returns the per-node minimum over the controls, the nodes where every
+    rollout blew up, and the largest absolute stage cost seen along each
+    node's rollouts before blow-up.
     """
     disc = np.exp(-lam * h * np.arange(n_steps))
     nc = nodes.shape[0]
     best = np.full(nc, np.inf)
     gmax = np.zeros(nc)
     for u in controls:
+        u = float(u)
         y = nodes.copy()
         acc = np.zeros(nc)
         alive = np.ones(nc, dtype=bool)
         for k in range(n_steps):
-            g = np.einsum("ma,ma->m", y, y) + cost_cw * u * u
-            np.maximum(gmax, np.where(alive, g, 0.0), out=gmax)
+            g = cost(y, u)
+            np.maximum(gmax, np.where(alive, np.abs(g), 0.0), out=gmax)
             acc[alive] += disc[k] * g[alive] * h
-            f = y @ a_eff.T + u * b_red
-            if cubic is not None:
-                f -= np.einsum("iabc,ma,mb,mc->mi", cubic, y, y, y, optimize=True)
-            y += h * f
+            if alive.all():  # no gather and scatter until a row has died
+                y += h * rhs(y, u)
+            else:
+                y[alive] += h * rhs(y[alive], u)
             alive &= np.einsum("ma,ma->m", y, y) <= blow_sq
         acc[~alive] = np.inf
         np.minimum(best, acc, out=best)
     return best, ~np.isfinite(best), gmax
+
+
+def guess_structured(nodes, a_eff, b_red, cubic, controls, lam, h, n_steps, cost_cw, blow_sq):
+    """:func:`rollout_minima` for the structured reduced dynamics.
+
+    The vector field is ``y @ a_eff.T + u b_red``, minus the cubic when
+    ``cubic`` is the monomial pair of :func:`~hjbpod.reduced.cubic_monomials`;
+    the stage cost is ``|y|^2 + cost_cw u^2``.
+    """
+
+    def cost(y, u):
+        return np.einsum("ma,ma->m", y, y) + cost_cw * u * u
+
+    def rhs(y, u):
+        f = y @ a_eff.T + u * b_red
+        if cubic is not None:
+            f -= cubic_batch(y, cubic)
+        return f
+
+    return rollout_minima(nodes, controls, cost, rhs, lam, h, n_steps, blow_sq)
 
 
 def max_abs_diff(a, b):

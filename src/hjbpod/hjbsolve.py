@@ -280,25 +280,11 @@ def initial_value_guess(
         vals, blown, gmax = _accel.guess_structured(
             nodes, rs.a_eff, rs.b_red, rs.cubic, controls, lam, h, n_steps, rs.cost_cw, blow_sq
         )
-        max_g = float(gmax.max()) if gmax.size else 0.0
     else:
-        disc = np.exp(-lam * h * np.arange(n_steps))
-        best = np.full(grid.node_count, np.inf)
-        max_g = 0.0
-        for u in controls:
-            y = nodes.copy()
-            acc = np.zeros(grid.node_count)
-            alive = np.ones(grid.node_count, dtype=bool)
-            for k in range(n_steps):
-                g = rs.cost_batch(y, float(u))
-                max_g = max(max_g, float(np.max(np.abs(g[alive]), initial=0.0)))
-                acc[alive] += disc[k] * g[alive] * h
-                y += h * rs.rhs_batch(y, float(u))
-                alive &= np.einsum("ma,ma->m", y, y) <= blow_sq
-            acc[~alive] = np.inf
-            np.minimum(best, acc, out=best)
-        vals = best
-        blown = ~np.isfinite(best)
+        vals, blown, gmax = _accel.rollout_minima(
+            nodes, controls, rs.cost_batch, rs.rhs_batch, lam, h, n_steps, blow_sq
+        )
+    max_g = float(gmax.max()) if gmax.size else 0.0
 
     if np.any(blown):
         logger.warning(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -72,13 +73,39 @@ class InvarianceReport:
             raise ValidationError("counts must be nonnegative")
 
 
+def cubic_monomials(phi: Array, phi_w: Array) -> tuple[Array, Array]:
+    """Reduced cubic ``C(y,y,y)_i = sum_j phi_w[i,j] (y @ phi)[j]**3`` over its unique monomials.
+
+    Returns the index triples ``a <= b <= c`` as a (3, m) array, with
+    m = r(r+1)(r+2)/6, and the (r, m) coefficient matrix whose column k is
+    the k-th monomial's coefficient, times the number of orderings of its
+    triple (1, 3 or 6).
+    """
+    r = phi.shape[0]
+    triples = np.array(list(combinations_with_replacement(range(r), 3)), dtype=np.intp).T
+    a, b, c = triples
+    multiplicity = np.where(a == c, 1.0, np.where((a == b) | (b == c), 3.0, 6.0))
+    coef = (phi_w @ (phi[a] * phi[b] * phi[c]).T) * multiplicity
+    return triples, coef
+
+
+def cubic_batch(Y: Array, cubic: tuple[Array, Array]) -> Array:
+    """Rows ``C(y,y,y)`` for the rows y of ``Y``, from :func:`cubic_monomials` output."""
+    (a, b, c), coef = cubic
+    mono = Y[:, a]
+    mono *= Y[:, b]
+    mono *= Y[:, c]
+    return mono @ coef.T
+
+
 class ReducedSystem:
     """Rank-r reduction of a controlled system under a POD basis.
 
     Precomputes the mode matrices (and, when the full system exposes its
     algebraic structure, exact reduced-space operators) so that the vector
     field can be evaluated in batch over many reduced states without
-    repeated lifting.
+    repeated lifting.  For the bistable cubic, ``cubic`` holds the reduced
+    cubic over its unique monomials (:func:`cubic_monomials`).
     """
 
     def __init__(self, basis: PODBasis, full: ControlledSystem, r: int):
@@ -102,9 +129,7 @@ class ReducedSystem:
                 # reaction into the reduced operator and expand the cubic in
                 # the basis: exact because the modes span the lifted states.
                 self.a_eff += self.gram
-                self.cubic = np.einsum(
-                    "ij,aj,bj,cj->iabc", self.phi_w, self.phi, self.phi, self.phi
-                )
+                self.cubic = cubic_monomials(self.phi, self.phi_w)
             self.b_red = self.phi_w @ st.control_gain
             self.cost_cw = st.quadratic_cost_control_weight
 
@@ -121,11 +146,17 @@ class ReducedSystem:
     # -- batched operations -------------------------------------------------
 
     def rhs_batch(self, Yr: Array, u: float) -> Array:
+        """Rows ``f_r(y, u)`` for the rows y of ``Yr``.
+
+        With structure this is ``A_eff y + u b - C(y,y,y)``, the cubic taken
+        over its unique monomials (:func:`cubic_batch`); without, each row is
+        lifted, passed through the full rhs and projected.
+        """
         Yr = np.asarray(Yr, dtype=float)
         if self.structured:
             out = Yr @ self.a_eff.T + u * self.b_red
             if self.cubic is not None:
-                out -= np.einsum("iabc,ma,mb,mc->mi", self.cubic, Yr, Yr, Yr, optimize=True)
+                out -= cubic_batch(Yr, self.cubic)
             return out
         Y = Yr @ self.phi
         if self.full.rhs_batch is not None:

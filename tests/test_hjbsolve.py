@@ -202,6 +202,59 @@ class TestInitialValueGuess:
         slow = hp.initial_value_guess(grid, rs_slow, [-1.0, 1.0], 1.0, 0.05, 1.0)
         np.testing.assert_allclose(fast, slow, rtol=1e-9, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_blown_rollouts_get_surrogate_without_overflow(self, test1_bundle, structured):
+        # On a box three widths past the snapshots nearly every rollout blows
+        # up; only live rows may be advanced, so nothing overflows.
+        sys1, snap, basis = test1_bundle
+        rs = ReducedSystem(basis, sys1, 4)
+        rs.structured = structured
+        grid = aligned_grid(hp.build_domain(basis, snap, 4, margin=3.0), 0.2)
+        controls, lam, h, t_e = [-1.0, 0.0, 1.0], 1.0, 0.5, 3.0
+        v0 = hp.initial_value_guess(grid, rs, controls, lam, h, t_e)
+
+        # Reference: one node and one control at a time.
+        nodes = grid.all_nodes()
+        blow_sq = max(1.0, 1e12 * np.max(np.sum(nodes * nodes, axis=1)))
+        n_steps = int(np.ceil(t_e / h))
+        disc = np.exp(-lam * h * np.arange(n_steps))
+        cost = np.full((grid.node_count, len(controls)), np.inf)
+        max_g = 0.0
+        for i, y0 in enumerate(nodes):
+            for l, u in enumerate(controls):
+                y, acc = y0.copy(), 0.0
+                for k in range(n_steps):
+                    g = rs.cost_batch(y[None], u)[0]
+                    max_g = max(max_g, abs(g))
+                    acc += disc[k] * g * h
+                    y = y + h * rs.rhs_batch(y[None], u)[0]
+                    if y @ y > blow_sq:
+                        break
+                else:
+                    cost[i, l] = acc
+        best = cost.min(axis=1)
+        blown = ~np.isfinite(best)
+        assert 0 < np.count_nonzero(~blown) < grid.node_count
+        np.testing.assert_allclose(v0[blown], max_g / lam, rtol=1e-12)
+        np.testing.assert_allclose(v0[~blown], best[~blown], rtol=1e-12)
+
+    def test_no_einsum_path_search(self, test1_bundle, monkeypatch):
+        from numpy._core import einsumfunc
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("einsum_path called")
+
+        # np.einsum(..., optimize=True) looks the name up in its own module.
+        monkeypatch.setattr(np, "einsum_path", refuse)
+        monkeypatch.setattr(einsumfunc, "einsum_path", refuse)
+        sys1, snap, basis = test1_bundle
+        rs = ReducedSystem(basis, sys1, 4)
+        grid = aligned_grid(hp.build_domain(basis, snap, 4), 0.4)
+        assert rs.rhs_batch(grid.all_nodes(), 0.5).shape == (grid.node_count, 4)
+        v0 = hp.initial_value_guess(grid, rs, [-1.0, 0.0, 1.0], 1.0, 0.05, 1.0)
+        assert np.all(np.isfinite(v0))
+
 
 class TestValueIteration:
     def test_zero_cost_contracts_to_zero(self, toy_cache):

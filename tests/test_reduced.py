@@ -54,6 +54,37 @@ class TestReducedRhs:
             assert fast[i] == pytest.approx(rs.cost(Yr[i], 0.9), rel=1e-10)
 
 
+class TestCubicMonomials:
+    """The unique-monomial cubic against its definitions."""
+
+    @pytest.mark.parametrize("r", [1, 2, 4, "d"])
+    @pytest.mark.parametrize("stretch", [1.0, 3.0])
+    def test_matches_dense_contraction_and_single_point_rhs(self, test1_bundle, rng, r, stretch):
+        sys1, snap, basis = test1_bundle
+        r = basis.d if r == "d" else r
+        rs = ReducedSystem(basis, sys1, r)
+        assert rs.cubic[1].shape == (r, r * (r + 1) * (r + 2) // 6)
+        # Points in the snapshot box (stretch 1) and in the box scaled 3x about its centre.
+        box = hp.build_domain(basis, snap, r)
+        mid = 0.5 * (box.lower + box.upper)
+        Yr = mid + stretch * (rng.uniform(box.lower, box.upper, size=(40, r)) - mid)
+        u = -0.7
+        got = rs.rhs_batch(Yr, u)
+
+        dense = np.einsum("ij,aj,bj,cj->iabc", rs.phi_w, rs.phi, rs.phi, rs.phi)
+        ref = Yr @ rs.a_eff.T + u * rs.b_red - np.einsum("iabc,ma,mb,mc->mi", dense, Yr, Yr, Yr)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-14 * np.max(np.abs(ref)))
+
+        # rs.rhs lifts, applies the full rhs and projects: its round-off is
+        # relative to the full-space terms, not to their reduced sum.
+        st = sys1.structure
+        Z = np.abs(Yr @ rs.phi)
+        terms = Z @ np.abs(st.linear).T + Z + Z**3 + abs(u) * np.abs(st.control_gain)
+        scale = np.max(terms @ np.abs(rs.phi_w).T)
+        point = np.array([rs.rhs(y, u) for y in Yr])
+        np.testing.assert_allclose(got, point, rtol=0, atol=1e-14 * scale)
+
+
 class TestReducedCost:
     def test_zero_state_zero_control(self, test1_reduced):
         assert test1_reduced.cost(np.zeros(4), 0.0) == 0.0
