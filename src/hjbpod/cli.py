@@ -456,6 +456,36 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     return out
 
 
+# The config keys the Riccati solution depends on: the system and the discount.
+_CARE_KEYS = ("test", "N", "factory", "control_box", "lam")
+
+
+def _care_for(out: Path, cfg: RunConfig, lq_data: tuple) -> lqr.CareSolution:
+    """The Riccati solution for ``lq_data = (A, B, Q, R)`` and ``cfg.lam``.
+
+    Loaded from ``care.npz`` if it was solved under the same ``_CARE_KEYS``;
+    otherwise solved and saved there with them.  The file holds the solution
+    as one structured record, so that reusing it reads one array, not one
+    per field.
+    """
+    path = out / "care.npz"
+    key = json.dumps({k: getattr(cfg, k) for k in _CARE_KEYS}, sort_keys=True)
+    if path.exists():
+        with np.load(path) as data:
+            if str(data["key"]) == key:
+                record = data["care"]
+                stored = {name: record[name] for name in record.dtype.names}
+                stored["residual"] = float(stored["residual"])
+                return lqr.CareSolution(**stored)
+    care = lqr.solve_care(*lq_data, lam=cfg.lam)
+    values = {name: np.asarray(value) for name, value in asdict(care).items()}
+    record = np.array(
+        tuple(values.values()), dtype=[(n, v.dtype, v.shape) for n, v in values.items()]
+    )
+    np.savez(path, key=key, care=record)
+    return care
+
+
 def _simulated_with(sim_path: Path, cfg: RunConfig) -> bool:
     """Whether ``simulate`` last wrote ``sim_path`` under this config."""
     if not sim_path.exists():
@@ -470,19 +500,20 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
 
     Reuses the HJB trajectory of the run directory only if ``simulate`` wrote
     it under this same config; otherwise it simulates first.  The Riccati
-    equation is solved only once the system is known to be linear-quadratic
-    and the HJB trajectory is at hand.
+    solution is taken from ``care.npz`` when it was solved for this system
+    and discount, and otherwise solved, once the system is known to be
+    linear-quadratic and the HJB trajectory is at hand.
     """
     out = Path(cfg.outdir)
     sys_obj = cfg.system()
-    A, B, Q, R = lqr.linear_quadratic_data(sys_obj, cfg.lam)
+    lq_data = lqr.linear_quadratic_data(sys_obj, cfg.lam)
     hjb_path = out / f"trajectory_hjb_r{cfg.r}.csv"
     if not (hjb_path.exists() and _simulated_with(out / f"simulate_r{cfg.r}.json", cfg)):
         cmd_simulate(cfg)
     data = np.loadtxt(hjb_path, delimiter=",", skiprows=1)
     t_hjb, states_hjb, u_hjb = data[:, 0], data[:, 1:-1], data[:, -1]
 
-    care = lqr.solve_care(A, B, Q, R, lam=cfg.lam)
+    care = _care_for(out, cfg, lq_data)
     y0 = cfg.initial_state(sys_obj)
     traj_lqr = lqr.simulate_lqr(sys_obj, care, y0, cfg.t_e, cfg.integrator(), sample_dt=cfg.dt)
     dynamics.write_trajectory_csv(traj_lqr, out / "trajectory_lqr.csv")

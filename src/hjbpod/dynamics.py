@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import ODEintWarning, odeint
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .errors import (
     IntegrationFailure,
@@ -168,8 +166,12 @@ def build_test1(N: int) -> ControlledSystem:
 
     with source profile ``B_j = 2 x_j (1 - x_j)``, cost rate
     ``|y|_w^2 + u^2/100`` and admissible controls in [-1, 1].  The Cholesky
-    factorization of ``C`` is computed once here.
+    factorization of ``C`` is computed once here.  The first call imports
+    ``scipy.linalg``; test 2 never needs it.
     """
+    # here rather than at the top: only test 1 and the Riccati solve use scipy.linalg
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
     if N < 4:
         raise InvalidDiscretizationError(f"need N >= 4 cells, got {N}")
     n = N - 1
@@ -314,8 +316,12 @@ def integrate(
     increasing and inside ``t_span``.  Raises :class:`IntegrationFailure`
     if LSODA does not complete the span or its output is not finite; the
     failure carries the last time at which the rhs was evaluated and the
-    last sample that was completed.
+    last sample that was completed.  The first call imports
+    ``scipy.integrate``, so that commands which never integrate do not load it.
     """
+    # here rather than at the top: scipy.integrate is most of the package's import time
+    from scipy.integrate import ODEintWarning, odeint
+
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
     if t1 < t0:

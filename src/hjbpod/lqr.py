@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_continuous_lyapunov
 
 from .dynamics import ControlledSystem, FeedbackLaw, IntegratorConfig, Trajectory, integrate
 from .errors import CareSolveError, ValidationError
@@ -56,8 +55,11 @@ def solve_care(A: Array, B: Array, Q: Array, R: float, lam: float = 0.0) -> Care
     ``B`` is a single input column given as a vector; ``R`` is scalar.
     Raises :class:`CareSolveError` if ``Abar`` is not stable (the zero gain
     is then no stabilizing start) or, with the residual history, if the
-    iteration stagnates.
+    iteration stagnates.  The first call imports ``scipy.linalg``.
     """
+    # here rather than at the top: only the Riccati solve and test 1 use scipy.linalg
+    from scipy.linalg import solve_continuous_lyapunov
+
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float).ravel()
     Q = np.asarray(Q, dtype=float)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hjbpod import cli
+from hjbpod import cli, lqr
 from hjbpod.errors import ValidationError
 from hjbpod.hjbgrid import aligned_grid
 from hjbpod.reduced import Hyperbox
@@ -316,6 +316,45 @@ def test_compare_lqr_resimulates_under_its_own_config(tmp_path):
         assert (tmp_path / "control_error_r2.csv").read_bytes() == expected
         with open(tmp_path / "simulate_r2.json") as fh:
             assert json.load(fh)["config"]["t_e"] == cfg.t_e
+
+
+def test_compare_lqr_solves_care_once_per_system_and_discount(tmp_path, monkeypatch):
+    # The Riccati solution depends on the system and lam, not on y0: a
+    # second compare-lqr from another initial state reuses care.npz, one
+    # under another discount solves again, and a reused solution gives the
+    # same outputs as a fresh one.
+    cfg = small_test2_config(tmp_path)
+    cli.cmd_snapshots(cfg)
+    cli.cmd_solve(cfg)
+    solved = []
+    solve_care = lqr.solve_care
+
+    def counting(*args, **kwargs):
+        solved.append(kwargs["lam"])
+        return solve_care(*args, **kwargs)
+
+    monkeypatch.setattr(lqr, "solve_care", counting)
+
+    def outputs():
+        summary = json.loads((tmp_path / "lqr_summary.json").read_text())
+        summary.pop("generated_at")
+        return summary, (tmp_path / "trajectory_lqr.csv").read_bytes()
+
+    cli.cmd_compare_lqr(cfg)
+    assert solved == [1.0]
+    fresh = outputs()
+    y0 = cfg.initial_state(cfg.system())
+    cli.cmd_compare_lqr(dataclasses.replace(cfg, y0=tuple(0.5 * y0)))
+    assert solved == [1.0]
+    assert outputs()[1] != fresh[1]
+    cli.cmd_compare_lqr(cfg)
+    assert solved == [1.0]
+    assert outputs() == fresh
+    cli.cmd_compare_lqr(dataclasses.replace(cfg, lam=2.0))
+    assert solved == [1.0, 2.0]
+    cli.cmd_compare_lqr(cfg)
+    assert solved == [1.0, 2.0, 1.0]
+    assert outputs() == fresh
 
 
 class TestMainEntry:

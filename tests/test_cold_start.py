@@ -1,0 +1,61 @@
+"""What a fresh interpreter loads of scipy.
+
+``import hjbpod`` loads numpy and ``scipy.sparse`` only.  LSODA
+(``scipy.integrate``, which also pulls in ``scipy.special`` and
+``scipy.optimize``) and ``scipy.linalg`` are imported by the functions that
+call them, so commands that never integrate or solve a Riccati equation do
+not pay for them.  Each check runs in its own interpreter.
+"""
+
+import dataclasses
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from hjbpod import cli
+
+from test_cli import small_test2_config
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFERRED = ("scipy.integrate", "scipy.linalg", "scipy.special", "scipy.optimize")
+
+
+def loaded_after(code: str) -> set:
+    """The modules of DEFERRED, and ``scipy.sparse``, loaded after ``code`` runs
+    in a fresh interpreter with ``src`` on its path."""
+    watched = DEFERRED + ("scipy.sparse",)
+    report = f"print(json.dumps([m for m in {watched!r} if m in sys.modules]))"
+    script = f"{code}\nimport json, sys\n{report}"
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_and_warm_probe_load_only_sparse():
+    code = "import runpy\nimport hjbpod, hjbpod.cli\nrunpy.run_path('perfbench/warm.py')"
+    assert loaded_after(code) == {"scipy.sparse"}
+
+
+def test_test2_solve_loads_no_integrator_or_dense_linalg(tmp_path):
+    cfg = small_test2_config(tmp_path)
+    cli.cmd_snapshots(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    code = f"from hjbpod import cli\nassert cli.main(['solve', '--config', {str(path)!r}]) == 0"
+    assert loaded_after(code) == {"scipy.sparse"}
+    assert (tmp_path / "solve_r2.npz").exists()
+
+
+def test_missing_config_exits_2_without_loading_integrator(tmp_path):
+    path = tmp_path / "absent.json"
+    code = f"from hjbpod import cli\nassert cli.main(['solve', '--config', {str(path)!r}]) == 2"
+    assert loaded_after(code) == {"scipy.sparse"}

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import hjbpod as hp
-from hjbpod import dynamics
 from hjbpod.errors import CacheBudgetError, InvalidPointError, ValidationError
 from hjbpod.hjbgrid import aligned_grid, stencil_batch
 from hjbpod.hjbsolve import ArrivalCache
@@ -606,15 +605,21 @@ def test2_table(test2_bundle):
 
 
 def spy_on_odeint(monkeypatch):
-    """Record the ``Dfun`` of every odeint call that integrate makes."""
+    """Record the ``Dfun`` of every odeint call that integrate makes.
+
+    ``integrate`` imports ``odeint`` from ``scipy.integrate`` on each call,
+    so the spy goes there.
+    """
+    import scipy.integrate
+
     seen = []
-    odeint = dynamics.odeint
+    odeint = scipy.integrate.odeint
 
     def spy(*args, **kwargs):
         seen.append(kwargs.get("Dfun"))
         return odeint(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "odeint", spy)
+    monkeypatch.setattr(scipy.integrate, "odeint", spy)
     return seen
 
 
