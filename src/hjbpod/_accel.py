@@ -18,25 +18,35 @@ from .reduced import cubic_batch
 HAVE_NUMBA = False
 
 
-def sweep(v, idx, wts, g, one_minus_lh, h):
-    """One Jacobi sweep of the discrete dynamic-programming operator.
+def sweep_operator(idx, wts):
+    """The stencils as a CSR matrix with one row per (node, control) pair.
 
-    The stencils form a CSR matrix with one row per (node, control) pair,
-    node-major (row ``i*nu + l``), whose ``indices`` and ``data`` are views
-    of ``idx`` and ``wts``.  Each row sums its stencil in vertex order.
+    Rows are node-major (row ``i*nu + l``) and each sums its stencil in
+    vertex order; ``indices`` and ``data`` are views of ``idx`` and ``wts``.
+    """
+    nc, nu, s = idx.shape
+    indptr = np.arange(0, nc * nu * s + 1, s, dtype=np.int32)
+    return sparse.csr_array((wts.reshape(-1), idx.reshape(-1), indptr), shape=(nc * nu, nc))
+
+
+def sweep_with(op, v, g, one_minus_lh, h):
+    """One Jacobi sweep through the operator of :func:`sweep_operator`.
 
     Returns the updated nodal values and the per-node argmin control index
     (ties resolve to the lowest index, hence the smallest control value
     when the control list is sorted ascending).
     """
-    nc, nu, s = idx.shape
-    indptr = np.arange(0, nc * nu * s + 1, s, dtype=np.int32)
-    op = sparse.csr_array((wts.reshape(-1), idx.reshape(-1), indptr), shape=(nc * nu, nc))
-    vals = (op @ v).reshape(nc, nu)
+    vals = (op @ v).reshape(g.shape)
     vals *= one_minus_lh
     vals += h * g
     argmin = np.argmin(vals, axis=1).astype(np.int32)
     return np.take_along_axis(vals, argmin[:, None], axis=1)[:, 0], argmin
+
+
+def sweep(v, idx, wts, g, one_minus_lh, h):
+    """One Jacobi sweep of the discrete dynamic-programming operator,
+    building the operator of :func:`sweep_operator` for this call alone."""
+    return sweep_with(sweep_operator(idx, wts), v, g, one_minus_lh, h)
 
 
 def rollout_minima(nodes, controls, cost, rhs, lam, h, n_steps, blow_sq):

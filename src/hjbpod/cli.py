@@ -418,7 +418,11 @@ def cmd_solve(cfg: RunConfig) -> Path:
 
 
 def cmd_simulate(cfg: RunConfig) -> Path:
-    """Closed-loop simulation under the solved policy plus uncontrolled reference."""
+    """Closed-loop simulation under the solved policy plus uncontrolled reference.
+
+    ``simulate_r*.json`` records the costs and ``outside_box_frac``, the share
+    of sampled states whose projection lies outside the table's grid box.
+    """
     out = Path(cfg.outdir)
     basis = pod.load_basis(_existing(out / "basis.npz", "snapshots"))
     table = _load_solution(out, cfg.r)
@@ -444,6 +448,11 @@ def cmd_simulate(cfg: RunConfig) -> Path:
 
     cost_hjb = hjbsolve.evaluate_cost(sys_obj, traj, cfg.lam)
     cost_unc = hjbsolve.evaluate_cost(sys_obj, unc, cfg.lam)
+    # where the projected state leaves the table's box the feedback clamps it
+    # there, and the solve certifies nothing
+    box = table.grid.box
+    coeffs = pod.project_coeffs_batch(basis, traj.states, table.grid.r)
+    outside = np.any(box.clip(coeffs) != coeffs, axis=1)
     payload = _meta_skeleton(cfg)
     payload["costs"] = {
         "hjb": cost_hjb,
@@ -451,6 +460,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
         "terminal_norm_hjb": sys_obj.weighted_norm(traj.states[-1]),
         "terminal_norm_uncontrolled": sys_obj.weighted_norm(unc.states[-1]),
     }
+    payload["outside_box_frac"] = float(np.mean(outside))
     write_json(out / f"simulate_r{cfg.r}.json", payload)
     logger.info("closed-loop cost %.6g vs uncontrolled %.6g", cost_hjb, cost_unc)
     return out
@@ -502,7 +512,9 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
     it under this same config; otherwise it simulates first.  The Riccati
     solution is taken from ``care.npz`` when it was solved for this system
     and discount, and otherwise solved, once the system is known to be
-    linear-quadratic and the HJB trajectory is at hand.
+    linear-quadratic and the HJB trajectory is at hand.  The summary records
+    the range of the sampled LQR controls, the share outside the control
+    box and whether the LQR law stayed admissible (``lqr_admissible``).
     """
     out = Path(cfg.outdir)
     sys_obj = cfg.system()
@@ -536,11 +548,20 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
     if summary_path.exists():
         with open(summary_path) as fh:
             summary = json.load(fh)
+    # the LQR law is unclipped: where it leaves the control box, the control
+    # error is measured against an inadmissible reference
+    u_lqr = traj_lqr.controls
+    lo, hi = sys_obj.control_box
+    outside_frac = float(np.mean((u_lqr < lo) | (u_lqr > hi)))
     summary[f"r{cfg.r}"] = {
         "median_relative_error": comp.median,
         "max_relative_error": comp.max,
         "care_residual": care.residual,
         "cost_lqr": hjbsolve.evaluate_cost(sys_obj, traj_lqr, cfg.lam),
+        "lqr_control_min": float(u_lqr.min()),
+        "lqr_control_max": float(u_lqr.max()),
+        "lqr_outside_box_frac": outside_frac,
+        "lqr_admissible": outside_frac == 0.0,
         "config": asdict(cfg),
     }
     summary["generated_at"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
@@ -582,6 +603,14 @@ def cmd_report(cfg: RunConfig) -> Path:
                     f"lqr {key}: median={entry['median_relative_error']:.3g} "
                     f"max={entry['max_relative_error']:.3g}"
                 )
+                if not entry.get("lqr_admissible", True):
+                    lines.append(
+                        f"warning: lqr {key}: the unclipped LQR law left the control box "
+                        f"in {entry['lqr_outside_box_frac']:.1%} of the samples "
+                        f"(controls {entry['lqr_control_min']:.4g} to "
+                        f"{entry['lqr_control_max']:.4g}); the control error above is "
+                        "measured against an inadmissible reference"
+                    )
     report = "\n".join(lines)
     print(report)
     (out / "report.txt").write_text(report + "\n")

@@ -166,11 +166,15 @@ def build_test1(N: int) -> ControlledSystem:
 
     with source profile ``B_j = 2 x_j (1 - x_j)``, cost rate
     ``|y|_w^2 + u^2/100`` and admissible controls in [-1, 1].  The Cholesky
-    factorization of ``C`` is computed once here.  The first call imports
+    factorization of ``C`` is computed once here, and LAPACK's banded solver
+    ``pbtrs`` fetched once: ``rhs`` calls it directly, as
+    ``cho_solve_banded`` does in the end, without that wrapper's per-call
+    overhead, and keeps the wrapper's checks on the right-hand side (its
+    length and finiteness) and on the solver's status.  The first call imports
     ``scipy.linalg``; test 2 never needs it.
     """
     # here rather than at the top: only test 1 and the Riccati solve use scipy.linalg
-    from scipy.linalg import cho_solve_banded, cholesky_banded
+    from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 
     if N < 4:
         raise InvalidDiscretizationError(f"need N >= 4 cells, got {N}")
@@ -185,6 +189,7 @@ def build_test1(N: int) -> ControlledSystem:
     ab[0, 1:] = 1.0 / 12.0
     ab[1, :] = 10.0 / 12.0
     c_factor = cholesky_banded(ab)
+    (pbtrs,) = get_lapack_funcs(("pbtrs",), (c_factor,))
 
     inv_dx2 = 1.0 / (dx * dx)
 
@@ -194,8 +199,15 @@ def build_test1(N: int) -> ControlledSystem:
     def rhs(Y: Array, u: float) -> Array:
         # one state (n,) or stacked states (m, n); .T is a no-op on one state
         Y = np.asarray(Y, dtype=float)
-        diff = cho_solve_banded((c_factor, False), apply_a_over_10(Y).T).T
-        return diff + Y * (1.0 - Y * Y) + u * B
+        b = np.asarray_chkfinite(apply_a_over_10(Y).T)
+        if b.shape[0] != n:
+            # pbtrs takes its order from b and would read past c_factor
+            raise ValueError(f"state of length {b.shape[0]}, expected {n}")
+        x, info = pbtrs(c_factor, b, lower=0)
+        if info != 0:
+            # LinAlgError is a ValueError, as the wrapper's negative-info error was
+            raise np.linalg.LinAlgError(f"LAPACK pbtrs returned info={info}")
+        return x.T + Y * (1.0 - Y * Y) + u * B
 
     # Dense C^{-1}A/10 for Jacobians and reduced-operator precomputation.
     a_dense = (

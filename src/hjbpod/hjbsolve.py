@@ -7,9 +7,10 @@ The nodal fixed-point relation is
 
 with I the piecewise-linear interpolation of the grid.  Arrival points,
 their interpolation stencils and the stage costs are static across sweeps
-and precomputed into an :class:`ArrivalCache`; each Jacobi sweep is then one
-sparse matrix-vector product over every (node, control) pair followed by a
-minimum over the controls, a contraction with factor (1 - lam*h).
+and precomputed into an :class:`ArrivalCache`, which builds its sparse sweep
+operator once; each Jacobi sweep is then one sparse matrix-vector product
+over every (node, control) pair followed by a minimum over the controls, a
+contraction with factor (1 - lam*h).
 There are no compiled or parallel kernels.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +69,13 @@ class ArrivalCache:
     invariance: InvarianceReport
     clamp_policy: str
     max_abs_cost: float
+
+    @cached_property
+    def operator(self):
+        """The node-major CSR sweep operator (:func:`_accel.sweep_operator`),
+        built once; its ``data`` and ``indices`` are views of ``weights``
+        and ``indices``."""
+        return _accel.sweep_operator(self.indices, self.weights)
 
 
 @dataclass(frozen=True)
@@ -172,7 +181,7 @@ def sweep_once(cache: ArrivalCache, v: Array, lam: float, h: float) -> tuple[Arr
     v = np.asarray(v, dtype=float)
     if v.shape != (cache.grid.node_count,):
         raise ValidationError("nodal vector has wrong length")
-    return _accel.sweep(v, cache.indices, cache.weights, cache.stage_cost, 1.0 - lam * h, h)
+    return _accel.sweep_with(cache.operator, v, cache.stage_cost, 1.0 - lam * h, h)
 
 
 def value_iteration(

@@ -357,6 +357,44 @@ def test_compare_lqr_solves_care_once_per_system_and_discount(tmp_path, monkeypa
     assert outputs() == fresh
 
 
+def test_simulate_records_the_share_outside_the_grid_box(tmp_path):
+    # outside the table's box the feedback is clamped and not certified
+    cfg = small_test2_config(tmp_path)
+    cli.cmd_snapshots(cfg)
+    cli.cmd_solve(cfg)
+    y0 = cfg.initial_state(cfg.system())
+    shares = []
+    for scale in (1.0, 5.0):
+        cli.cmd_simulate(dataclasses.replace(cfg, y0=tuple(scale * y0)))
+        shares.append(json.loads((tmp_path / "simulate_r2.json").read_text())["outside_box_frac"])
+    assert shares[0] == 0.0
+    assert 0.0 < shares[1] <= 1.0
+
+
+def test_compare_lqr_records_whether_the_lqr_law_was_admissible(tmp_path, capsys):
+    # from y0 the unclipped LQR law stays in the box [-2.2, 0]; from 2 y0 it
+    # leaves it, and report warns that the reference was inadmissible
+    cfg = small_test2_config(tmp_path)
+    cli.cmd_snapshots(cfg)
+    cli.cmd_solve(cfg)
+    y0 = cfg.initial_state(cfg.system())
+    entries, warned = [], []
+    for scale in (1.0, 2.0):
+        cli.cmd_compare_lqr(dataclasses.replace(cfg, y0=tuple(scale * y0)))
+        entries.append(json.loads((tmp_path / "lqr_summary.json").read_text())["r2"])
+        capsys.readouterr()
+        cli.cmd_report(cfg)
+        warned.append("inadmissible" in capsys.readouterr().out)
+    inside, outside = entries
+    assert inside["lqr_admissible"] is True
+    assert inside["lqr_outside_box_frac"] == 0.0
+    assert -2.2 <= inside["lqr_control_min"] <= inside["lqr_control_max"] <= 0.0
+    assert outside["lqr_admissible"] is False
+    assert 0.0 < outside["lqr_outside_box_frac"] < 1.0
+    assert outside["lqr_control_min"] < -2.2
+    assert warned == [False, True]
+
+
 class TestMainEntry:
     def test_validation_exit_code(self, tmp_path, capsys):
         code = cli.main(["snapshots", "--test", "test1", "--T", "0", "--outdir", str(tmp_path)])

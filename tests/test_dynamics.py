@@ -58,6 +58,65 @@ class TestBuildTest1:
         for i in range(5):
             np.testing.assert_allclose(batch[i], sys1.rhs(Y[i], -0.3), atol=1e-14)
 
+    @pytest.mark.parametrize("rows", [None, 5, 0])
+    def test_rhs_equals_the_cho_solve_banded_formula(self, rng, rows):
+        # the direct pbtrs call is the one cho_solve_banded ends in: bit-equal
+        # on one state, on stacked states and on zero stacked rows
+        from scipy.linalg import cho_solve_banded, cholesky_banded
+
+        N = 100
+        n = N - 1
+        sys1 = hp.build_test1(N)
+        B = dense_test1_operators(N)[2]
+        ab = np.zeros((2, n))
+        ab[0, 1:] = 1.0 / 12.0
+        ab[1, :] = 10.0 / 12.0
+        c_factor = cholesky_banded(ab)
+        dx = 1.0 / N
+        inv_dx2 = 1.0 / (dx * dx)
+        Y = rng.normal(size=(n,) if rows is None else (rows, n))
+        a_y = -2.0 * inv_dx2 * Y
+        a_y[..., :-1] += inv_dx2 * Y[..., 1:]
+        a_y[..., 1:] += inv_dx2 * Y[..., :-1]
+        diff = cho_solve_banded((c_factor, False), (a_y / 10.0).T).T
+        expected = diff + Y * (1.0 - Y * Y) + 0.3 * B
+        got = sys1.rhs(Y, 0.3)
+        assert got.shape == Y.shape
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "long", "short", "one", "stacked"])
+    def test_rhs_rejects_bad_states(self, bad):
+        sys1 = hp.build_test1(20)
+        y = {
+            "nan": np.full(19, np.nan),
+            "inf": np.where(np.arange(19) == 4, np.inf, 0.0),
+            "long": np.ones(20),
+            "short": np.ones(18),
+            "one": np.ones(1),
+            "stacked": np.ones((3, 20)),
+        }[bad]
+        with pytest.raises(ValueError):
+            sys1.rhs(y, 0.0)
+
+    def test_rhs_does_not_call_the_wrapper(self, monkeypatch, rng):
+        # build_test1 fetches the LAPACK routine once; no rhs call goes
+        # through cho_solve_banded afterwards.  The wrapper's body is patched
+        # too, since a name bound at build time would escape the first patch.
+        import scipy.linalg
+        from scipy.linalg import _decomp_cholesky
+
+        sys1 = hp.build_test1(30)
+        y = rng.normal(size=29)
+        expected = sys1.rhs(y, 0.5)
+
+        def wrapper(*args, **kwargs):
+            raise AssertionError("cho_solve_banded called")
+
+        monkeypatch.setattr(scipy.linalg, "cho_solve_banded", wrapper)
+        monkeypatch.setattr(_decomp_cholesky, "_cho_solve_banded", wrapper)
+        np.testing.assert_array_equal(sys1.rhs(y, 0.5), expected)
+        assert sys1.rhs(np.stack([y, -y]), 0.5).shape == (2, 29)
+
     def test_too_coarse_rejected(self):
         with pytest.raises(InvalidDiscretizationError):
             hp.build_test1(3)

@@ -442,8 +442,9 @@ def test_sweep_matches_per_node_loop_on_random_stencils(rng, nc, nu, s):
     assert np.all(got_a[::10] == 0)
 
 
-def test_sweep_operator_shares_the_cache_arrays(toy_solution_free, rng, monkeypatch):
-    # the sweep's CSR matrix holds the cache's stencil arrays, not copies
+@pytest.fixture()
+def built_operators(monkeypatch):
+    """Every CSR matrix the sweep kernels build, in order."""
     from scipy import sparse
 
     from hjbpod import _accel
@@ -455,15 +456,36 @@ def test_sweep_operator_shares_the_cache_arrays(toy_solution_free, rng, monkeypa
         return built[-1]
 
     monkeypatch.setattr(_accel.sparse, "csr_array", csr_array)
+    return built
+
+
+def test_sweep_operator_shares_the_cache_arrays(toy_solution_free, rng, built_operators):
+    # the sweep's CSR matrix holds the cache's stencil arrays, not copies
+    from hjbpod import _accel
+
     grid, cache = toy_solution_free
     _accel.sweep(
         rng.normal(size=grid.node_count), cache.indices, cache.weights, cache.stage_cost,
         0.998, 0.002,
     )
-    (op,) = built
+    (op,) = built_operators
     assert np.shares_memory(op.data, cache.weights)
     assert np.shares_memory(op.indices, cache.indices)
     assert op.indptr.dtype == np.int32
+
+
+def test_value_iteration_builds_the_sweep_operator_once_per_cache(
+    toy_solution_free, built_operators
+):
+    grid, cache = toy_solution_free
+    vf, _ = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.002, 1e-8)
+    assert vf.iterations > 1
+    (op,) = built_operators
+    assert np.shares_memory(op.data, cache.weights)
+    assert np.shares_memory(op.indices, cache.indices)
+    again, _ = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.002, 1e-8)
+    assert len(built_operators) == 1
+    np.testing.assert_array_equal(again.values, vf.values)
 
 
 class TestFeedback:
