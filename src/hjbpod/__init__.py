@@ -42,7 +42,7 @@ from .hjbsolve import (
     sweep_once,
     value_iteration,
 )
-from .lqr import CareSolution, compare_controls, lqr_feedback, simulate_lqr, solve_care
+from .lqr import CareSolution, compare_controls, simulate_lqr, solve_care
 from .pod import (
     PODBasis,
     SnapshotSet,

@@ -102,11 +102,9 @@ class RunConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     guess_step: float | None = None  # default: h
-    guess_controls: tuple | None = None  # default: snapshot controls
     node_budget: int = 5_000_000
     cache_budget: int = 200_000_000
     outdir: str = "runs"
-    sample_hold: bool = False
     factory: str | None = None
     control_box: tuple | None = None  # test2 override
     y0: tuple | None = None  # custom systems: initial state
@@ -119,17 +117,18 @@ class RunConfig:
                 raise ValidationError(f"config key {f.name!r} must be a {kind}, got {value!r}")
             if kind == "tuple" and value is not None:
                 setattr(self, f.name, tuple(float(v) for v in value))
-        for key in ("T", "dt", "t_e", "k_r", "lam", "stop_tol", "r"):
-            if getattr(self, key) <= 0:
-                raise ValidationError(f"{key} must be positive")
         if self.tau is None:
             self.tau = self.T
         if self.h is None:
             self.h = 0.1 * self.k_r
         if self.guess_step is None:
             self.guess_step = self.h
-        if self.guess_controls is None:
-            self.guess_controls = self.snapshot_controls
+        for key in (
+            "T", "dt", "t_e", "k_r", "lam", "stop_tol", "r",
+            "h", "guess_step", "control_count", "max_iters",
+        ):
+            if getattr(self, key) <= 0:
+                raise ValidationError(f"{key} must be positive")
         if self.h > 0.5 / self.lam:
             logger.warning("h=%g exceeds the recommended bound 1/(2*lam)", self.h)
 
@@ -211,8 +210,7 @@ def _json_default(obj):
 
 _CSV_SCHEMAS = {
     "spectrum.csv": "k, lambda_k (correlation eigenvalues, descending)",
-    "value_r{r}.csv": "i_1..i_r (lattice index), x_1..x_r (node coords), value",
-    "policy_r{r}.csv": "i_1..i_r, x_1..x_r, control",
+    "solution_r{r}.csv": "i_1..i_r (lattice index), x_1..x_r (node coords), value, control",
     "trajectory_*.csv": "t, y_1..y_n, u",
     "control_error_r{r}.csv": "t, u_hjb, u_lqr, relative_error",
     "state_diff_r{r}.csv": "t, dy_1..dy_n (HJB minus LQR state)",
@@ -319,8 +317,7 @@ def cmd_solve(cfg: RunConfig) -> Path:
     """Domain, grid, arrival cache, and value iteration for the configured rank."""
     out = Path(cfg.outdir)
     snap = pod.load_snapshots(_existing(out / "snapshots.npz", "snapshots"))
-    basis_path = out / "basis.npz"
-    basis = pod.load_basis(basis_path) if basis_path.exists() else _write_basis(out, cfg, snap)
+    basis = pod.load_basis(_existing(out / "basis.npz", "snapshots"))
     if cfg.r > basis.d:
         raise ValidationError(f"requested rank r={cfg.r} exceeds basis dimension d={basis.d}")
 
@@ -355,7 +352,7 @@ def cmd_solve(cfg: RunConfig) -> Path:
 
     t0 = time.perf_counter()
     v0 = hjbsolve.initial_value_guess(
-        grid, rs, cfg.guess_controls, cfg.lam, cfg.guess_step, cfg.t_e
+        grid, rs, cfg.snapshot_controls, cfg.lam, cfg.guess_step, cfg.t_e
     )
     timings["guess_s"] = time.perf_counter() - t0
 
@@ -379,10 +376,9 @@ def cmd_solve(cfg: RunConfig) -> Path:
     x_headers = [f"x_{a}" for a in range(1, grid.r + 1)]
     cols = [lattice[:, a] for a in range(grid.r)] + [nodes[:, a] for a in range(grid.r)]
     write_csv(
-        out / f"value_r{cfg.r}.csv", idx_headers + x_headers + ["value"], cols + [vf.values]
-    )
-    write_csv(
-        out / f"policy_r{cfg.r}.csv", idx_headers + x_headers + ["control"], cols + [table.controls]
+        out / f"solution_r{cfg.r}.csv",
+        idx_headers + x_headers + ["value", "control"],
+        cols + [vf.values, table.controls],
     )
     np.savez_compressed(
         out / f"solve_r{cfg.r}.npz",
@@ -438,7 +434,6 @@ def cmd_simulate(cfg: RunConfig) -> Path:
         cfg.t_e,
         icfg,
         sample_dt=cfg.dt,
-        sample_hold=cfg.sample_hold,
     )
     dynamics.write_trajectory_csv(traj, out / f"trajectory_hjb_r{cfg.r}.csv")
 
@@ -654,7 +649,6 @@ def main(argv=None) -> int:
     p.add_argument("--margin", type=float)
     p.add_argument("--clamp-policy", choices=["clamp", "reject"], dest="clamp_policy")
     p.add_argument("--guess-step", type=float, dest="guess_step")
-    p.add_argument("--sample-hold", action="store_const", const=True, dest="sample_hold")
     p.add_argument("-v", "--verbose", action="store_true")
     args = p.parse_args(argv)
 

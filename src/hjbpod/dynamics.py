@@ -412,9 +412,8 @@ def load_system(config: dict) -> ControlledSystem:
         return build_test1(int(config.get("N", 100)))
     if test == "test2":
         box = config.get("control_box")
-        if box is not None:
-            return build_test2(int(config.get("N", 100)), control_box=(float(box[0]), float(box[1])))
-        return build_test2(int(config.get("N", 100)))
+        extra = {} if box is None else {"control_box": (float(box[0]), float(box[1]))}
+        return build_test2(int(config.get("N", 100)), **extra)
     if test == "custom":
         factory = config.get("factory")
         if not factory or ":" not in factory:

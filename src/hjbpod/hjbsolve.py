@@ -67,8 +67,6 @@ class ArrivalCache:
     weights: Array  # (nc, nu, r+1)
     stage_cost: Array  # (nc, nu)
     invariance: InvarianceReport
-    clamp_policy: str
-    max_abs_cost: float
 
     @cached_property
     def operator(self):
@@ -171,8 +169,6 @@ def build_arrival_cache(
         weights=weights,
         stage_cost=stage_cost,
         invariance=report,
-        clamp_policy=clamp_policy,
-        max_abs_cost=float(np.max(np.abs(stage_cost))),
     )
 
 
@@ -357,32 +353,15 @@ def simulate_closed_loop(
     t_e: float,
     cfg: IntegratorConfig | None = None,
     sample_dt: float = 0.05,
-    sample_hold: bool = False,
 ) -> Trajectory:
     """Integrate the closed loop ``y' = f(y, Phi(y))`` and sample it.
 
-    ``Phi`` is the :class:`FeedbackPolicy` of the table on its own grid.
-    By default the feedback is evaluated continuously (at every rhs call);
-    with ``sample_hold`` the control is frozen over each sampling interval.
+    ``Phi`` is the :class:`FeedbackPolicy` of the table on its own grid,
+    evaluated at every rhs call.
     """
-    policy = FeedbackPolicy(basis, table)
     n_samp = int(round(t_e / sample_dt))
     sample_times = np.linspace(0.0, t_e, n_samp + 1)
-    if not sample_hold:
-        return integrate(sys, y0, policy, (0.0, t_e), cfg, sample_times)
-
-    cfg = cfg or IntegratorConfig()
-    states = [np.asarray(y0, dtype=float)]
-    controls = []
-    y = states[0]
-    for k in range(n_samp):
-        u = policy(y)
-        controls.append(u)
-        seg = integrate(sys, y, u, (sample_times[k], sample_times[k + 1]), cfg)
-        y = seg.states[-1]
-        states.append(y)
-    controls.append(policy(y))
-    return Trajectory(sample_times, np.array(states), np.array(controls))
+    return integrate(sys, y0, FeedbackPolicy(basis, table), (0.0, t_e), cfg, sample_times)
 
 
 def evaluate_cost(sys: ControlledSystem, traj: Trajectory, lam: float) -> float:

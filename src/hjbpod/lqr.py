@@ -124,11 +124,6 @@ def solve_care(A: Array, B: Array, Q: Array, R: float, lam: float = 0.0) -> Care
     )
 
 
-def lqr_feedback(care: CareSolution, y: Array) -> float:
-    """Optimal linear feedback u = -R^{-1} B^T P y."""
-    return float(-np.dot(care.gain, y))
-
-
 def linear_quadratic_data(sys: ControlledSystem, lam: float) -> tuple[Array, Array, Array, float]:
     """Extract (A, B, Q, R) of a linear system with weighted-quadratic cost."""
     st = sys.structure
@@ -147,14 +142,15 @@ def simulate_lqr(
     cfg: IntegratorConfig | None = None,
     sample_dt: float = 0.05,
 ) -> Trajectory:
-    """Closed-loop trajectory under the (unclipped) LQR feedback law.
+    """Closed-loop trajectory under the (unclipped) LQR feedback law
+    ``u = -R^{-1} B^T P y = -gain . y``.
 
     The law carries its gradient ``-gain``, so LSODA gets the exact
     closed-loop Jacobian ``A - b gain^T``.
     """
     n_samp = int(round(t_e / sample_dt))
     sample_times = np.linspace(0.0, t_e, n_samp + 1)
-    law = FeedbackLaw(lambda y: lqr_feedback(care, y), lambda y: -care.gain)
+    law = FeedbackLaw(lambda y: float(-np.dot(care.gain, y)), lambda y: -care.gain)
     return integrate(sys, y0, law, (0.0, t_e), cfg, sample_times)
 
 

@@ -4,8 +4,10 @@
 attributes of their results; ``perfbench/reference.py`` and
 ``perfbench/warm.py`` call library functions directly.  A rename or a
 removed attribute breaks only the benchmark, which the other tests never
-run.  This test runs the traced pipeline on a tiny test-2 config and the
-set-up probe, and leaves every file under ``perfbench/`` as it is.
+run.  This test runs the traced pipeline on a tiny test-2 config, on a tiny
+invariant test-1 config (the path of ``ensure_invariant_grid``,
+``grow_to_invariant`` and the warm start) and the set-up probe, and leaves
+every file under ``perfbench/`` as it is.
 """
 
 import importlib
@@ -43,15 +45,22 @@ def perfbench_modules():
         sys.modules.update(saved)
 
 
-def test_traced_pipeline_emits_every_declared_layer_metric(tmp_path, perfbench_modules):
+@pytest.mark.parametrize("test", ["test2", "test1"])
+def test_traced_pipeline_emits_every_declared_layer_metric(tmp_path, perfbench_modules, test):
     bench, tracing = perfbench_modules
-    tiny = bench._config("test2", 2, 0.3, 0.03, 5, 1e-6, False)
+    if test == "test2":
+        tiny, members = bench._config("test2", 2, 0.3, 0.03, 5, 1e-6, False), 1
+    else:
+        tiny = bench._config("test1", 2, 0.2, 0.02, 5, 5e-4, True, guess_step=0.1)
+        members = 0
     # the benchmark's traced run: two untraced solve passes, then snapshots,
-    # solve, simulate and compare-lqr under the tracer, then the reference
+    # solve, simulate and (test2) compare-lqr under the tracer, then the
+    # reference.  The stressed-layer rule is not checked: at this size it
+    # does not hold.
     tracer = tracing.Tracer()
     try:
         result = bench.run_workload(
-            bench.Workload("tiny", tiny, members=1), 3, 0.0, tmp_path, tracer
+            bench.Workload("tiny", tiny, members=members), 3, 0.0, tmp_path, tracer
         )
     finally:
         tracer.uninstall()

@@ -47,7 +47,6 @@ class TestConfig:
         assert cfg.h == pytest.approx(0.1 * cfg.k_r)
         assert cfg.tau == cfg.T
         assert cfg.guess_step == cfg.h
-        assert cfg.guess_controls == cfg.snapshot_controls
         assert cli.load_config(None, {"test": "test1", "h": 0.005}).guess_step == 0.005
 
     def test_file_and_overrides(self, tmp_path):
@@ -90,10 +89,23 @@ class TestConfig:
         assert str(path) in capsys.readouterr().err
         assert not out.exists()
 
-    def test_nonpositive_discount_rejected(self):
-        for lam in (0.0, -1.0):
-            with pytest.raises(ValidationError, match="lam"):
-                cli.load_config(None, {"test": "test1", "lam": lam})
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lam", 0.0), ("lam", -1.0), ("control_count", 0), ("control_count", -1),
+            ("max_iters", 0), ("h", 0.0), ("h", -0.1), ("guess_step", 0.0), ("guess_step", -1.0),
+        ],
+    )
+    def test_nonpositive_value_rejected(self, key, value):
+        with pytest.raises(ValidationError, match=f"^{key} must be positive"):
+            cli.load_config(None, {"test": "test1", key: value})
+
+    def test_out_of_range_value_exits_2(self, tmp_path, capsys):
+        # rejected with the configuration, before the command reads or writes
+        argv = ["solve", "--test", "test2", "--outdir", str(tmp_path), "--control-count", "-1"]
+        assert cli.main(argv) == 2
+        assert "control_count must be positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +125,7 @@ class TestPipeline:
             "snapshots.npz",
             "basis.npz",
             "spectrum.csv",
-            "value_r2.csv",
-            "policy_r2.csv",
+            "solution_r2.csv",
             "meta_r2.json",
             "trajectory_hjb_r2.csv",
             "trajectory_unc.csv",
@@ -135,16 +146,17 @@ class TestPipeline:
         out, _ = run_dir
         with open(out / "meta_r2.json") as fh:
             meta = json.load(fh)
-        data = np.loadtxt(out / "value_r2.csv", delimiter=",", skiprows=1)
-        assert data.shape == (meta["grid"]["node_count"], 2 * 2 + 1)
+        data = np.loadtxt(out / "solution_r2.csv", delimiter=",", skiprows=1)
+        assert data.shape == (meta["grid"]["node_count"], 2 * 2 + 2)
+        header = (out / "solution_r2.csv").read_text().splitlines()[0]
+        assert header == "i_1,i_2,x_1,x_2,value,control"
 
     def test_csv_matches_npz(self, run_dir):
         out, _ = run_dir
-        values_csv = np.loadtxt(out / "value_r2.csv", delimiter=",", skiprows=1)[:, -1]
-        policy_csv = np.loadtxt(out / "policy_r2.csv", delimiter=",", skiprows=1)[:, -1]
+        solution = np.loadtxt(out / "solution_r2.csv", delimiter=",", skiprows=1)
         with np.load(out / "solve_r2.npz") as data:
-            np.testing.assert_array_equal(values_csv, data["values"])
-            np.testing.assert_array_equal(policy_csv, data["controls"])
+            np.testing.assert_array_equal(solution[:, -2], data["values"])
+            np.testing.assert_array_equal(solution[:, -1], data["controls"])
 
     def test_simulation_costs_recorded(self, run_dir):
         out, _ = run_dir
@@ -177,7 +189,7 @@ def test_byte_identical_reproducibility(tmp_path):
         cfg = tiny_config(out)
         cli.cmd_snapshots(cfg)
         cli.cmd_solve(cfg)
-    for name in ("value_r2.csv", "policy_r2.csv", "spectrum.csv"):
+    for name in ("solution_r2.csv", "spectrum.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     # meta differs only in the generated_at stamp
     with open(out_a / "meta_r2.json") as fh:
@@ -253,7 +265,7 @@ def test_custom_system_pipeline(tmp_path):
     cli.cmd_snapshots(cfg)
     cli.cmd_solve(cfg)
     cli.cmd_simulate(cfg)
-    assert (tmp_path / "value_r2.csv").exists()
+    assert (tmp_path / "solution_r2.csv").exists()
     with open(tmp_path / "simulate_r2.json") as fh:
         sim = json.load(fh)
     assert sim["costs"]["hjb"] <= sim["costs"]["uncontrolled"] + 1e-12
@@ -442,6 +454,16 @@ class TestMainEntry:
         out = tmp_path / "absent"
         assert cli.main(["report", "--outdir", str(out)]) == 2
         assert not out.exists()
+
+    def test_solve_without_basis_fails(self, tmp_path):
+        # solve reads the basis that snapshots wrote; it never writes one
+        cfg = tiny_config(tmp_path)
+        cli.cmd_snapshots(cfg)
+        (tmp_path / "basis.npz").unlink()
+        with pytest.raises(ValidationError, match="basis.npz .run 'snapshots' first"):
+            cli.cmd_solve(cfg)
+        assert not (tmp_path / "basis.npz").exists()
+        assert not (tmp_path / "solution_r2.csv").exists()
 
     def test_simulate_without_solve_fails(self, tmp_path):
         cfg = tiny_config(tmp_path)

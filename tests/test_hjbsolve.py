@@ -32,8 +32,6 @@ def constant_cache(grid, g_value, lam_h_pair=None):
         weights=weights,
         stage_cost=np.full((nc, 1), float(g_value)),
         invariance=hp.InvarianceReport(nc, 0, np.zeros(grid.r)),
-        clamp_policy="clamp",
-        max_abs_cost=abs(float(g_value)),
     )
 
 
@@ -262,7 +260,6 @@ class TestValueIteration:
             grid=cache.grid, control_values=cache.control_values, h=cache.h,
             indices=cache.indices, weights=cache.weights,
             stage_cost=np.zeros_like(cache.stage_cost), invariance=cache.invariance,
-            clamp_policy="clamp", max_abs_cost=0.0,
         )
         v0 = np.abs(np.sin(np.arange(grid.node_count)))
         vf, _ = hp.value_iteration(zero_cache, v0, 1.0, 0.002, stop_tol=1e-12)
@@ -283,7 +280,7 @@ class TestValueIteration:
     def test_value_bounded_by_cost_scale(self, toy_cache):
         grid, cache = toy_cache
         vf, _ = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.002, stop_tol=1e-8)
-        assert np.max(vf.values) <= cache.max_abs_cost / 1.0 + 1e-6
+        assert np.max(vf.values) <= np.max(np.abs(cache.stage_cost)) / 1.0 + 1e-6
 
     def test_contraction_on_random_pairs(self, toy_cache, rng):
         grid, cache = toy_cache
@@ -313,7 +310,6 @@ class TestValueIteration:
             grid=cache.grid, control_values=cache.control_values, h=cache.h,
             indices=cache.indices, weights=cache.weights,
             stage_cost=cache.stage_cost + 2.0, invariance=cache.invariance,
-            clamp_policy="clamp", max_abs_cost=cache.max_abs_cost + 2.0,
         )
         vf2, t2 = hp.value_iteration(shifted, np.zeros(grid.node_count) + 2.0, lam, h, 1e-11)
         np.testing.assert_allclose(vf2.values - vf1.values, 2.0 / lam, atol=1e-7)
@@ -332,7 +328,6 @@ class TestValueIteration:
             grid=grid, control_values=np.array([-0.5, 0.5]), h=0.1,
             indices=indices, weights=weights, stage_cost=np.ones((nc, 2)),
             invariance=hp.InvarianceReport(nc, 0, np.zeros(1)),
-            clamp_policy="clamp", max_abs_cost=1.0,
         )
         _, table = hp.value_iteration(cache, np.zeros(nc), 1.0, 0.1, 1e-6)
         assert np.all(table.controls == -0.5)
@@ -739,19 +734,6 @@ class TestClosedLoop:
         )
         assert abs(traj.states[-1, 0]) < 1e-9
         assert np.all(traj.controls == -1.0)
-
-    def test_sample_hold_variant(self, toy_reduced):
-        grid = toy_grid(diameter=0.5)
-        table = hp.ControlTable(
-            grid=grid, controls=np.full(grid.node_count, -1.0),
-            control_set=hp.ControlSet(np.array([-1.0])),
-        )
-        sys_t = make_scalar_integrator_system()
-        traj = hp.simulate_closed_loop(
-            sys_t, toy_reduced.basis, table, np.array([1.0]), 1.0,
-            None, sample_dt=0.25, sample_hold=True,
-        )
-        assert abs(traj.states[-1, 0]) < 1e-9
 
 
 class TestEvaluateCost:

@@ -52,22 +52,9 @@ def scalar_care():
     return solve_care(np.array([[-0.5]]), np.array([1.0]), np.array([[1.0]]), 1.0, lam=1.0)
 
 
-class TestLqrFeedback:
-    def test_zero_state(self, scalar_care):
-        assert hp.lqr_feedback(scalar_care, np.zeros(1)) == 0.0
-
-    def test_scalar_value(self, scalar_care):
-        got = hp.lqr_feedback(scalar_care, np.ones(1))
-        assert got == pytest.approx(-(np.sqrt(2) - 1), abs=1e-10)
-
-    def test_linearity(self, scalar_care, rng):
-        y = rng.normal(size=1)
-        assert hp.lqr_feedback(scalar_care, 2 * y) == pytest.approx(
-            2 * hp.lqr_feedback(scalar_care, y), rel=1e-14
-        )
-
-
-def test_simulate_lqr_law_has_gradient_minus_gain(scalar_care, monkeypatch, rng):
+@pytest.fixture(scope="module")
+def scalar_law(scalar_care):
+    """The feedback law that simulate_lqr passes to integrate for the scalar CARE."""
     laws = []
     integrate = lqr.integrate
 
@@ -75,16 +62,34 @@ def test_simulate_lqr_law_has_gradient_minus_gain(scalar_care, monkeypatch, rng)
         laws.append(law)
         return integrate(sys_obj, y0, law, *args)
 
-    monkeypatch.setattr(lqr, "integrate", spy)
     sys_s = hp.ControlledSystem(
         n=1, rhs=lambda y, u: -0.5 * np.asarray(y) + u, running_cost=lambda y, u: 0.0,
         weight=np.ones(1), control_box=(-1.0, 1.0), label="scalar",
     )
-    simulate_lqr(sys_s, scalar_care, np.ones(1), 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lqr, "integrate", spy)
+        simulate_lqr(sys_s, scalar_care, np.ones(1), 1.0)
     (law,) = laws
+    return law
+
+
+class TestLqrFeedback:
+    def test_zero_state(self, scalar_law):
+        assert scalar_law(np.zeros(1)) == 0.0
+
+    def test_scalar_value(self, scalar_law):
+        # u = -R^{-1} b p y with p = sqrt(2) - 1 and b = R = y = 1
+        assert scalar_law(np.ones(1)) == pytest.approx(-(np.sqrt(2) - 1), abs=1e-10)
+
+    def test_linearity(self, scalar_law, rng):
+        y = rng.normal(size=1)
+        assert scalar_law(2 * y) == pytest.approx(2 * scalar_law(y), rel=1e-14)
+
+
+def test_simulate_lqr_law_has_gradient_minus_gain(scalar_law, scalar_care, rng):
     y = rng.normal(size=1)
-    assert law(y) == hp.lqr_feedback(scalar_care, y)
-    np.testing.assert_array_equal(law.gradient(y), -scalar_care.gain)
+    assert scalar_law(y) == -scalar_care.gain[0] * y[0]
+    np.testing.assert_array_equal(scalar_law.gradient(y), -scalar_care.gain)
 
 
 def test_lqr_beats_constant_controls():
