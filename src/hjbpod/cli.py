@@ -1,4 +1,4 @@
-"""Command-line pipeline: snapshots -> basis -> solve -> simulate -> compare.
+"""Command-line pipeline: snapshots -> solve -> simulate -> compare.
 
 Each stage writes its artifacts (npz bundles for downstream stages, CSV and
 JSON for external consumption) into the run directory together with the
@@ -129,8 +129,6 @@ class RunConfig:
         ):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key} must be positive")
-        if self.h > 0.5 / self.lam:
-            logger.warning("h=%g exceeds the recommended bound 1/(2*lam)", self.h)
 
     def integrator(self) -> dynamics.IntegratorConfig:
         return dynamics.IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
@@ -242,19 +240,32 @@ def _grid_from_payload(payload: dict) -> SimplexGrid:
     return grid_from_edge(box, np.array(payload["edge"]), node_budget=payload["node_count"])
 
 
-def _write_basis(out: Path, cfg: RunConfig, snap: pod.SnapshotSet) -> pod.PODBasis:
-    """Compute the POD basis of ``snap``, save it and write its spectrum CSV."""
-    basis = pod.compute_basis(snap, tau=cfg.tau)
-    pod.save_basis(out / "basis.npz", basis)
-    eigvals = basis.eigvals
-    write_csv(out / "spectrum.csv", ["k", "lambda_k"], [np.arange(1, eigvals.size + 1), eigvals])
-    return basis
+# The config keys that fix the controlled system.  An artifact written for
+# other values belongs to another system, whatever its shape.
+_SYSTEM_KEYS = ("test", "N", "factory", "control_box")
 
 
-def _load_solution(out: Path, r: int) -> hjbsolve.ControlTable:
-    """The control table solved at rank ``r``, on the grid it was solved on."""
-    with open(_existing(out / f"meta_r{r}.json", "solve")) as fh:
+def _check_system(cfg: RunConfig, path: Path, stored: dict, command: str) -> None:
+    """Raise a ValidationError unless ``stored``, the config that ``command``
+    wrote ``path`` under, has this run's ``_SYSTEM_KEYS``."""
+    ours = {k: getattr(cfg, k) for k in _SYSTEM_KEYS}
+    ours = json.loads(json.dumps(ours, default=_json_default))
+    for key in _SYSTEM_KEYS:
+        if stored.get(key) != ours[key]:
+            raise ValidationError(
+                f"{path} belongs to another system: it has {key}={stored.get(key)!r}, "
+                f"this run has {key}={ours[key]!r} (re-run '{command}' with this config)"
+            )
+
+
+def _load_solution(out: Path, cfg: RunConfig) -> hjbsolve.ControlTable:
+    """The control table solved at rank ``cfg.r`` for this system, on the grid
+    it was solved on."""
+    r = cfg.r
+    meta_path = _existing(out / f"meta_r{r}.json", "solve")
+    with open(meta_path) as fh:
         meta = json.load(fh)
+    _check_system(cfg, meta_path, meta["config"], "solve")
     with np.load(_existing(out / f"solve_r{r}.npz", "solve")) as data:
         controls = data["controls"]
         control_values = data["control_values"]
@@ -270,7 +281,7 @@ def _load_solution(out: Path, r: int) -> hjbsolve.ControlTable:
 
 
 def cmd_snapshots(cfg: RunConfig) -> Path:
-    """Generate the snapshot bundle and the correlation spectrum CSV."""
+    """Generate the snapshot bundle, its POD basis and the correlation spectrum CSV."""
     out = Path(cfg.outdir)
     out.mkdir(parents=True, exist_ok=True)
     sys_obj = cfg.system()
@@ -286,7 +297,10 @@ def cmd_snapshots(cfg: RunConfig) -> Path:
         quotient_at_zero=cfg.quotient_at_zero,
     )
     pod.save_snapshots(out / "snapshots.npz", snap)
-    basis = _write_basis(out, cfg, snap)
+    basis = pod.compute_basis(snap, tau=cfg.tau)
+    pod.save_basis(out / "basis.npz", basis)
+    eigvals = basis.eigvals
+    write_csv(out / "spectrum.csv", ["k", "lambda_k"], [np.arange(1, eigvals.size + 1), eigvals])
     meta = _meta_skeleton(cfg)
     meta["snapshots"] = {
         "p": snap.p,
@@ -302,21 +316,14 @@ def cmd_snapshots(cfg: RunConfig) -> Path:
     return out
 
 
-def cmd_basis(cfg: RunConfig) -> Path:
-    """(Re)build the POD basis from an existing snapshot bundle."""
-    out = Path(cfg.outdir)
-    snap = pod.load_snapshots(_existing(out / "snapshots.npz", "snapshots"))
-    basis = _write_basis(out, cfg, snap)
-    meta = _meta_skeleton(cfg)
-    meta["basis"] = {"d": basis.d, "tau": basis.tau, "eigvals": basis.eigvals}
-    write_json(out / "basis_meta.json", meta)
-    return out
-
-
 def cmd_solve(cfg: RunConfig) -> Path:
     """Domain, grid, arrival cache, and value iteration for the configured rank."""
     out = Path(cfg.outdir)
-    snap = pod.load_snapshots(_existing(out / "snapshots.npz", "snapshots"))
+    snap_path = _existing(out / "snapshots.npz", "snapshots")
+    meta_path = _existing(out / "snapshots_meta.json", "snapshots")
+    with open(meta_path) as fh:
+        _check_system(cfg, meta_path, json.load(fh)["config"], "snapshots")
+    snap = pod.load_snapshots(snap_path)
     basis = pod.load_basis(_existing(out / "basis.npz", "snapshots"))
     if cfg.r > basis.d:
         raise ValidationError(f"requested rank r={cfg.r} exceeds basis dimension d={basis.d}")
@@ -421,7 +428,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     """
     out = Path(cfg.outdir)
     basis = pod.load_basis(_existing(out / "basis.npz", "snapshots"))
-    table = _load_solution(out, cfg.r)
+    table = _load_solution(out, cfg)
     sys_obj = cfg.system()
     y0 = cfg.initial_state(sys_obj)
     icfg = cfg.integrator()
@@ -462,7 +469,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
 
 
 # The config keys the Riccati solution depends on: the system and the discount.
-_CARE_KEYS = ("test", "N", "factory", "control_box", "lam")
+_CARE_KEYS = _SYSTEM_KEYS + ("lam",)
 
 
 def _care_for(out: Path, cfg: RunConfig, lq_data: tuple) -> lqr.CareSolution:
@@ -617,7 +624,6 @@ def cmd_report(cfg: RunConfig) -> Path:
 
 _COMMANDS = {
     "snapshots": cmd_snapshots,
-    "basis": cmd_basis,
     "solve": cmd_solve,
     "simulate": cmd_simulate,
     "compare-lqr": cmd_compare_lqr,
@@ -665,11 +671,8 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except HjbPodError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0
 

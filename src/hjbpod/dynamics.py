@@ -17,11 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    IntegrationFailure,
-    InvalidDiscretizationError,
-    ValidationError,
-)
+from .errors import IntegrationFailure, ValidationError
 
 Array = np.ndarray
 
@@ -177,7 +173,7 @@ def build_test1(N: int) -> ControlledSystem:
     from scipy.linalg import cho_solve_banded, cholesky_banded, get_lapack_funcs
 
     if N < 4:
-        raise InvalidDiscretizationError(f"need N >= 4 cells, got {N}")
+        raise ValidationError(f"need N >= 4 cells, got {N}")
     n = N - 1
     dx = 1.0 / N
     x = dx * np.arange(1, N)
@@ -250,7 +246,7 @@ def build_test2(N: int, control_box: tuple[float, float] = (-2.2, 0.0)) -> Contr
     the snapshot controls {-2.2, -1.1, 0}.
     """
     if N < 4:
-        raise InvalidDiscretizationError(f"need N >= 4 cells, got {N}")
+        raise ValidationError(f"need N >= 4 cells, got {N}")
     n = N - 1
     dx = 2.0 / N
     x = dx * np.arange(1, N)

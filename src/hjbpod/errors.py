@@ -14,33 +14,6 @@ class ValidationError(HjbPodError):
     """Inconsistent or out-of-range user input."""
 
 
-class InvalidDiscretizationError(ValidationError):
-    """Spatial discretization too coarse to define the scheme."""
-
-
-class InvalidScaleError(ValidationError):
-    """A scale parameter that must be strictly positive is not."""
-
-
-class InvalidPointError(ValidationError):
-    """A query point contains NaN or has the wrong dimension."""
-
-
-class GridBudgetError(ValidationError):
-    """Requested grid exceeds the configured node budget."""
-
-    def __init__(self, node_count: int, budget: int):
-        self.node_count = node_count
-        self.budget = budget
-        super().__init__(
-            f"grid would need {node_count} nodes, exceeding the budget of {budget}"
-        )
-
-
-class CacheBudgetError(ValidationError):
-    """Arrival cache exceeds the configured entry budget."""
-
-
 class NumericalError(HjbPodError):
     """A numerical procedure failed to produce a usable result."""
 
@@ -52,15 +25,3 @@ class IntegrationFailure(NumericalError):
         self.time = time
         self.state = state
         super().__init__(f"{message} (t={time:.6g})")
-
-
-class DegenerateSnapshotError(NumericalError):
-    """Snapshot set carries no usable energy above the drop tolerance."""
-
-
-class CareSolveError(NumericalError):
-    """Riccati solve failed; carries the residual history."""
-
-    def __init__(self, message: str, residual_history=None):
-        self.residual_history = list(residual_history or [])
-        super().__init__(message)

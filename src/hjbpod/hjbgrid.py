@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import GridBudgetError, InvalidPointError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .reduced import Hyperbox, clipped_arrivals
 
 Array = np.ndarray
@@ -80,13 +80,15 @@ class SimplexGrid:
 def grid_from_edge(box: Hyperbox, edge: Array, node_budget: int = 5_000_000) -> SimplexGrid:
     """Lattice of the given cell edge over a box whose widths are whole multiples of it.
 
-    Raises :class:`GridBudgetError` if the lattice has more than
+    Raises :class:`ValidationError` if the lattice has more than
     ``node_budget`` nodes.
     """
     cells = np.round(box.width / edge).astype(np.int64)
     node_count = int(np.prod(cells + 1))
     if node_count > node_budget:
-        raise GridBudgetError(node_count, node_budget)
+        raise ValidationError(
+            f"grid would need {node_count} nodes, exceeding the budget of {node_budget}"
+        )
     return SimplexGrid(
         box=box,
         cells_per_axis=cells,
@@ -201,9 +203,9 @@ def stencil_batch(grid: SimplexGrid, points: Array) -> tuple[Array, Array]:
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] != grid.r:
-        raise InvalidPointError(f"points must have dimension {grid.r}")
+        raise ValidationError(f"points must have dimension {grid.r}")
     if np.isnan(pts).any():
-        raise InvalidPointError("point coordinates contain NaN")
+        raise ValidationError("point coordinates contain NaN")
     m, r = pts.shape
     # clipping u first keeps +-inf out of the integer cast
     u = np.clip((pts - grid.box.lower) / grid.edge, 0.0, grid.cells_per_axis)
@@ -241,7 +243,7 @@ def _kuhn_simplex(grid: SimplexGrid, point: Array) -> tuple[int, list, list]:
     lower, edge, top, strides = grid._point_constants
     coords = np.asarray(point, dtype=float)
     if coords.shape != (len(lower),):
-        raise InvalidPointError(f"point must have shape ({grid.r},)")
+        raise ValidationError(f"point must have shape ({grid.r},)")
     theta = []
     base = 0
     for p, lo, e, t, s in zip(coords.tolist(), lower, edge, top, strides):
@@ -258,7 +260,7 @@ def _kuhn_simplex(grid: SimplexGrid, point: Array) -> tuple[int, list, list]:
             cell = 0
             theta.append(0.0)
         else:
-            raise InvalidPointError("point coordinates contain NaN")
+            raise ValidationError("point coordinates contain NaN")
         base += cell * s
     # descending theta, ties by axis index: the stable argsort of -theta
     order = sorted(range(len(theta)), key=theta.__getitem__, reverse=True)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _accel
 from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
-from .errors import CacheBudgetError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .hjbgrid import SimplexGrid, interpolate, interpolate_gradient, stencil_batch
 from .pod import PODBasis, _check_rank
 from .reduced import InvarianceReport, ReducedSystem, clipped_arrivals
@@ -48,12 +48,6 @@ class ControlSet:
         if np.any(np.diff(vals) < 0):
             raise ValidationError("control values must be sorted ascending")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def uniform(cls, lo: float, hi: float, count: int) -> "ControlSet":
-        if count < 1:
-            raise ValidationError("control count must be >= 1")
-        return cls(np.linspace(lo, hi, count))
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,7 @@ def build_arrival_cache(
     nu = vals.size
     entries = nc * nu * (grid.r + 1)
     if entries > entry_budget:
-        raise CacheBudgetError(
+        raise ValidationError(
             f"arrival cache needs {entries} entries, exceeding budget {entry_budget}"
         )
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ControlledSystem, FeedbackLaw, IntegratorConfig, Trajectory, integrate
-from .errors import CareSolveError, ValidationError
+from .errors import NumericalError, ValidationError
 
 Array = np.ndarray
 
@@ -53,9 +53,9 @@ def solve_care(A: Array, B: Array, Q: Array, R: float, lam: float = 0.0) -> Care
         Abar^T P + P Abar - P B R^{-1} B^T P + Q = 0.
 
     ``B`` is a single input column given as a vector; ``R`` is scalar.
-    Raises :class:`CareSolveError` if ``Abar`` is not stable (the zero gain
-    is then no stabilizing start) or, with the residual history, if the
-    iteration stagnates.  The first call imports ``scipy.linalg``.
+    Raises :class:`NumericalError` if ``Abar`` is not stable (the zero gain
+    is then no stabilizing start) or if the iteration stagnates.  The first
+    call imports ``scipy.linalg``.
     """
     # here rather than at the top: only the Riccati solve and test 1 use scipy.linalg
     from scipy.linalg import solve_continuous_lyapunov
@@ -73,7 +73,7 @@ def solve_care(A: Array, B: Array, Q: Array, R: float, lam: float = 0.0) -> Care
     K = np.zeros(n)
     spectral = np.max(np.linalg.eigvals(a_bar).real)
     if spectral >= 0:
-        raise CareSolveError(f"zero gain is not stabilizing (max Re eig = {spectral:.3e})")
+        raise NumericalError(f"zero gain is not stabilizing (max Re eig = {spectral:.3e})")
 
     q_norm = max(float(np.linalg.norm(Q)), np.finfo(float).tiny)
 
@@ -101,19 +101,16 @@ def solve_care(A: Array, B: Array, Q: Array, R: float, lam: float = 0.0) -> Care
         ):
             if history[-1] <= _STALL_TOL:
                 break
-            raise CareSolveError(
-                f"Newton iteration stagnated at residual {history[-1]:.3e}", history
-            )
+            raise NumericalError(f"Newton iteration stagnated at residual {history[-1]:.3e}")
     else:
-        raise CareSolveError(
+        raise NumericalError(
             f"Newton iteration did not reach rtol={_RTOL:g} in {_MAX_ITERS} steps "
-            f"(residual {history[-1]:.3e})",
-            history,
+            f"(residual {history[-1]:.3e})"
         )
 
     eig_min = float(np.min(np.linalg.eigvalsh(P)))
     if eig_min < -1e-8 * max(1.0, float(np.max(np.abs(P)))):
-        raise CareSolveError(f"CARE solution is not PSD (min eig {eig_min:.3e})", history)
+        raise NumericalError(f"CARE solution is not PSD (min eig {eig_min:.3e})")
     return CareSolution(
         P=P,
         gain=(P @ B) / R,

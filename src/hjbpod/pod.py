@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
-from .errors import (
-    DegenerateSnapshotError,
-    IntegrationFailure,
-    InvalidScaleError,
-    NumericalError,
-    ValidationError,
-)
+from .errors import IntegrationFailure, NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -201,7 +195,7 @@ def assemble_snapshot_vectors(snap: SnapshotSet, tau: float) -> Array:
     ``j = 0..M-1``, so each trajectory contributes N = M+1 vectors.
     """
     if tau <= 0:
-        raise InvalidScaleError("snapshot time scale tau must be positive")
+        raise ValidationError("snapshot time scale tau must be positive")
     p, N, n = snap.p, snap.N, snap.n
     out = np.empty((p * N, n))
     for nu in range(p):
@@ -241,7 +235,7 @@ def compute_basis(snap: SnapshotSet, tau: float | None = None) -> PODBasis:
     lam = lam[order]
     vecs = vecs[:, order]
     if lam[0] <= 0:
-        raise DegenerateSnapshotError("snapshot set has no positive correlation energy")
+        raise NumericalError("snapshot set has no positive correlation energy")
     keep = lam > _DROP_TOL * lam[0]
     lam = lam[keep]
     vecs = vecs[:, keep]
@@ -268,7 +262,7 @@ def compute_basis(snap: SnapshotSet, tau: float | None = None) -> PODBasis:
         kept_modes.append(v / nrm)
         kept_lam.append(lam[k])
     if not kept_modes:
-        raise DegenerateSnapshotError("all modes fell below the drop tolerance")
+        raise NumericalError("all modes fell below the drop tolerance")
     modes = np.array(kept_modes)
     lam = np.array(kept_lam)
 

@@ -67,7 +67,7 @@ def test2_solution(test2_bundle):
         rs = ReducedSystem(basis, sys2, r)
         box = hp.build_domain(basis, snap, r)
         grid = aligned_grid(box, k_r)
-        controls = hp.ControlSet.uniform(-2.2, 0.0, 11)
+        controls = hp.ControlSet(np.linspace(-2.2, 0.0, 11))
         cache = hp.build_arrival_cache(grid, rs, controls, h)
         v0 = hp.initial_value_guess(grid, rs, [-2.2, -1.1, 0.0], lam, h, 3.0)
         vf, table = hp.value_iteration(cache, v0, lam, h, stop_tol=1e-6)

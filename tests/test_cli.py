@@ -170,11 +170,6 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert "meta_r2.json" in captured.out
 
-    def test_basis_rebuild(self, run_dir):
-        out, cfg = run_dir
-        cli.cmd_basis(cfg)
-        assert (out / "basis_meta.json").exists()
-
     def test_rank_too_large(self, run_dir):
         out, cfg = run_dir
         cfg_bad = tiny_config(out, r=12)
@@ -412,6 +407,16 @@ class TestMainEntry:
         code = cli.main(["snapshots", "--test", "test1", "--T", "0", "--outdir", str(tmp_path)])
         assert code == 2
 
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        # an unconverged solve writes its artifacts, then exits 3
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dataclasses.asdict(tiny_config(tmp_path / "out"))))
+        argv = ["--config", str(path)]
+        assert cli.main(["snapshots"] + argv) == 0
+        assert cli.main(["solve", "--max-iters", "1"] + argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: value iteration unconverged")
+        assert (tmp_path / "out" / "solve_r2.npz").exists()
+
     def test_missing_snapshots_exit_code(self, tmp_path):
         code = cli.main(["solve", "--test", "test1", "--outdir", str(tmp_path / "empty")])
         assert code == 2
@@ -419,7 +424,6 @@ class TestMainEntry:
     @pytest.mark.parametrize(
         "command, missing, producer",
         [
-            ("basis", "snapshots.npz", "snapshots"),
             ("solve", "snapshots.npz", "snapshots"),
             ("simulate", "basis.npz", "snapshots"),
             ("compare-lqr", "basis.npz", "snapshots"),
@@ -470,3 +474,34 @@ class TestMainEntry:
         cli.cmd_snapshots(cfg)
         with pytest.raises(ValidationError, match="missing solve artifacts"):
             cli.cmd_simulate(cfg)
+
+
+class TestAnotherSystemsArtifacts:
+    """A run directory holds one system's artifacts: a command run for another
+    system exits 2 before it writes anything, naming the key that differs."""
+
+    def test_solve_refuses_them(self, tmp_path, capsys):
+        cli.cmd_snapshots(tiny_config(tmp_path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = ["--test", "test2", "--N", "12", "--r", "2", "--outdir", str(tmp_path)]
+        assert cli.main(["solve"] + argv) == 2
+        err = capsys.readouterr().err
+        assert "test='test1'" in err and "test='test2'" in err
+        assert "re-run 'snapshots'" in err
+        for command in ("simulate", "compare-lqr"):
+            assert cli.main([command] + argv) == 2
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("key, value", [("test", "test2"), ("N", 16)])
+    def test_simulate_refuses_them(self, tmp_path, key, value):
+        # the snapshots are re-run for another system after the solve
+        cfg = tiny_config(tmp_path)
+        cli.cmd_snapshots(cfg)
+        cli.cmd_solve(cfg)
+        other = dataclasses.replace(cfg, **{key: value})
+        cli.cmd_snapshots(other)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        message = f"{key}={getattr(cfg, key)!r}, this run has {key}={value!r} .re-run 'solve'"
+        with pytest.raises(ValidationError, match=message):
+            cli.cmd_simulate(other)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

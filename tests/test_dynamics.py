@@ -8,7 +8,7 @@ from scipy.linalg import expm, solve
 
 import hjbpod as hp
 from hjbpod.dynamics import load_system, write_trajectory_csv
-from hjbpod.errors import InvalidDiscretizationError, ValidationError
+from hjbpod.errors import ValidationError
 
 from conftest import make_decay_system, make_scalar_integrator_system
 
@@ -118,7 +118,7 @@ class TestBuildTest1:
         assert sys1.rhs(np.stack([y, -y]), 0.5).shape == (2, 29)
 
     def test_too_coarse_rejected(self):
-        with pytest.raises(InvalidDiscretizationError):
+        with pytest.raises(ValidationError, match="need N >= 4 cells, got 3"):
             hp.build_test1(3)
 
     def test_weighted_norm_of_ones(self):
@@ -146,7 +146,7 @@ class TestBuildTest2:
         np.testing.assert_allclose(sys2.rhs(y, 0.0), A @ y, rtol=0, atol=1e-13)
 
     def test_too_coarse_rejected(self):
-        with pytest.raises(InvalidDiscretizationError):
+        with pytest.raises(ValidationError, match="need N >= 4 cells, got 2"):
             hp.build_test2(2)
 
 

@@ -4,7 +4,7 @@ from scipy.linalg import solve_continuous_are
 
 import hjbpod as hp
 from hjbpod import lqr
-from hjbpod.errors import CareSolveError, ValidationError
+from hjbpod.errors import NumericalError, ValidationError
 from hjbpod.lqr import (
     ControlComparison,
     compare_controls,
@@ -38,7 +38,7 @@ class TestSolveCare:
         assert np.max(np.abs(P_ref - care.P)) < 1e-9 * np.max(np.abs(P_ref))
 
     def test_unstabilizable_rejected(self):
-        with pytest.raises(CareSolveError):
+        with pytest.raises(NumericalError, match="zero gain is not stabilizing"):
             solve_care(np.array([[1.0]]), np.array([0.0]), np.array([[1.0]]), 1.0, lam=0.0)
 
     def test_nonlinear_system_rejected(self, test1_bundle):

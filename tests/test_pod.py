@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import hjbpod as hp
-from hjbpod.errors import InvalidScaleError, ValidationError
+from hjbpod.errors import ValidationError
 from hjbpod.pod import (
     assemble_snapshot_vectors,
     load_basis,
@@ -95,7 +95,7 @@ class TestAssemble:
             np.testing.assert_array_equal(v2[base + 1 :base + snap.N], 2.0 * v1[base + 1 :base + snap.N])
 
     def test_bad_tau(self, rng):
-        with pytest.raises(InvalidScaleError):
+        with pytest.raises(ValidationError, match="snapshot time scale tau must be positive"):
             assemble_snapshot_vectors(random_snapshot_set(rng), 0.0)
 
 
