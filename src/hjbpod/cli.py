@@ -258,14 +258,30 @@ def _check_system(cfg: RunConfig, path: Path, stored: dict, command: str) -> Non
             )
 
 
-def _load_solution(out: Path, cfg: RunConfig) -> hjbsolve.ControlTable:
+def _basis_hash(basis: pod.PODBasis) -> str:
+    """SHA-256 of the basis arrays and their shapes."""
+    import hashlib  # loaded by the commands that write or read a solve, not at import
+
+    digest = hashlib.sha256()
+    for array in (basis.modes, basis.eigvals, basis.weight):
+        digest.update(repr(array.shape).encode())
+        digest.update(np.ascontiguousarray(array, dtype=float).tobytes())
+    return digest.hexdigest()
+
+
+def _load_solution(out: Path, cfg: RunConfig, basis: pod.PODBasis) -> hjbsolve.ControlTable:
     """The control table solved at rank ``cfg.r`` for this system, on the grid
-    it was solved on."""
+    it was solved on.  ``basis`` must be the one it was solved with."""
     r = cfg.r
     meta_path = _existing(out / f"meta_r{r}.json", "solve")
     with open(meta_path) as fh:
         meta = json.load(fh)
     _check_system(cfg, meta_path, meta["config"], "solve")
+    if meta["basis"].get("sha256") != _basis_hash(basis):
+        raise ValidationError(
+            f"{out / 'basis.npz'} is not the basis {meta_path} was solved with "
+            "(re-run 'solve' with this basis)"
+        )
     with np.load(_existing(out / f"solve_r{r}.npz", "solve")) as data:
         controls = data["controls"]
         control_values = data["control_values"]
@@ -396,7 +412,12 @@ def cmd_solve(cfg: RunConfig) -> Path:
 
     meta = _meta_skeleton(cfg)
     meta["grid"] = _grid_payload(grid)
-    meta["basis"] = {"d": basis.d, "tau": basis.tau, "eigval_tail": basis.tail(cfg.r)}
+    meta["basis"] = {
+        "d": basis.d,
+        "tau": basis.tau,
+        "eigval_tail": basis.tail(cfg.r),
+        "sha256": _basis_hash(basis),
+    }
     meta["control_set"] = controls.values
     meta["iteration"] = {
         "iterations": vf.iterations,
@@ -428,7 +449,7 @@ def cmd_simulate(cfg: RunConfig) -> Path:
     """
     out = Path(cfg.outdir)
     basis = pod.load_basis(_existing(out / "basis.npz", "snapshots"))
-    table = _load_solution(out, cfg)
+    table = _load_solution(out, cfg, basis)
     sys_obj = cfg.system()
     y0 = cfg.initial_state(sys_obj)
     icfg = cfg.integrator()

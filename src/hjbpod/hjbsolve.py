@@ -8,9 +8,9 @@ The nodal fixed-point relation is
 with I the piecewise-linear interpolation of the grid.  Arrival points,
 their interpolation stencils and the stage costs are static across sweeps
 and precomputed into an :class:`ArrivalCache`, which builds its sparse sweep
-operator once; each Jacobi sweep is then one sparse matrix-vector product
-over every (node, control) pair followed by a minimum over the controls, a
-contraction with factor (1 - lam*h).
+operator and its h-scaled costs once; each Jacobi sweep is then one sparse
+matrix-vector product over every (node, control) pair followed by a minimum
+over the controls, a contraction with factor (1 - lam*h).
 There are no compiled or parallel kernels.
 """
 
@@ -68,6 +68,11 @@ class ArrivalCache:
         built once; its ``data`` and ``indices`` are views of ``weights``
         and ``indices``."""
         return _accel.sweep_operator(self.indices, self.weights)
+
+    @cached_property
+    def scaled_cost(self):
+        """``h * stage_cost``, the cost term of every sweep, formed once."""
+        return self.h * self.stage_cost
 
 
 @dataclass(frozen=True)
@@ -167,11 +172,16 @@ def build_arrival_cache(
 
 
 def sweep_once(cache: ArrivalCache, v: Array, lam: float, h: float) -> tuple[Array, Array]:
-    """Apply the dynamic-programming operator once; returns (values, argmin)."""
+    """Apply the dynamic-programming operator once; returns (values, argmin).
+
+    ``h`` must be the step the cache's arrivals were built for.
+    """
     v = np.asarray(v, dtype=float)
     if v.shape != (cache.grid.node_count,):
         raise ValidationError("nodal vector has wrong length")
-    return _accel.sweep_with(cache.operator, v, cache.stage_cost, 1.0 - lam * h, h)
+    if h != cache.h:
+        raise ValidationError(f"sweep step h={h:g} differs from the arrival cache's h={cache.h:g}")
+    return _accel.sweep_with(cache.operator, v, cache.scaled_cost, 1.0 - lam * h)
 
 
 def value_iteration(
@@ -280,8 +290,12 @@ def initial_value_guess(
             nodes, rs.a_eff, rs.b_red, rs.cubic, controls, lam, h, n_steps, rs.cost_cw, blow_sq
         )
     else:
+
+        def cost(y, u, sq):
+            return rs.cost_batch(y, u)
+
         vals, blown, gmax = _accel.rollout_minima(
-            nodes, controls, rs.cost_batch, rs.rhs_batch, lam, h, n_steps, blow_sq
+            nodes, controls, cost, rs.rhs_batch, lam, h, n_steps, blow_sq
         )
     max_g = float(gmax.max()) if gmax.size else 0.0
 

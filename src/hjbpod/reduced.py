@@ -150,7 +150,8 @@ class ReducedSystem:
 
         With structure this is ``A_eff y + u b - C(y,y,y)``, the cubic taken
         over its unique monomials (:func:`cubic_batch`); without, each row is
-        lifted, passed through the full rhs and projected.
+        lifted, passed through the full rhs and projected.  Either way the
+        rows come in a fresh array, which the caller may overwrite.
         """
         Yr = np.asarray(Yr, dtype=float)
         if self.structured:
@@ -252,6 +253,8 @@ def _outermost_root(rs: ReducedSystem, pts: Array, axis: int, u: float, sign: fl
         )
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break  # every bracket is two adjacent doubles, and no step moves it
         pts[:, axis] = mid
         f = rs.rhs_batch(pts, u)[:, axis] * sign
         out = f > 0.0

@@ -505,3 +505,26 @@ class TestAnotherSystemsArtifacts:
         with pytest.raises(ValidationError, match=message):
             cli.cmd_simulate(other)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_simulate_refuses_a_basis_the_solve_did_not_use(tmp_path, capsys):
+    # snapshots, solve, snapshots again for the same system with other
+    # snapshot settings, simulate: the table belongs to the first basis
+    run = tmp_path / "run"
+
+    def main(command, **extra):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(dataclasses.asdict(tiny_config(run, **extra))))
+        return cli.main([command, "--config", str(path)])
+
+    assert main("snapshots") == 0
+    assert main("solve") == 0
+    assert main("snapshots", snapshot_controls=(-1.0, 1.0), T=0.5) == 0
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    assert main("simulate") == 2
+    err = capsys.readouterr().err
+    assert "basis.npz is not the basis" in err and "re-run 'solve'" in err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+    assert main("solve") == 0
+    assert main("simulate") == 0

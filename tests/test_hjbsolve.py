@@ -7,7 +7,7 @@ import hjbpod as hp
 from hjbpod.errors import ValidationError
 from hjbpod.hjbgrid import aligned_grid, stencil_batch
 from hjbpod.hjbsolve import ArrivalCache
-from hjbpod.reduced import Hyperbox, ReducedSystem
+from hjbpod.reduced import Hyperbox, ReducedSystem, cubic_batch
 
 from conftest import dyadic_grid, kuhn_probe_points, make_scalar_integrator_system
 
@@ -16,8 +16,8 @@ def toy_grid(lo=-1.0, hi=1.0, diameter=0.02):
     return hp.build_grid(Hyperbox(np.array([lo]), np.array([hi])), diameter)
 
 
-def constant_cache(grid, g_value, lam_h_pair=None):
-    """Cache with f == 0 (self-arrivals) and a constant stage cost."""
+def constant_cache(grid, g_value, h=0.1):
+    """Cache at step ``h`` with f == 0 (self-arrivals) and a constant stage cost."""
     nc = grid.node_count
     width = grid.r + 1
     indices = np.zeros((nc, 1, width), dtype=np.int32)
@@ -27,7 +27,7 @@ def constant_cache(grid, g_value, lam_h_pair=None):
     return ArrivalCache(
         grid=grid,
         control_values=np.array([0.0]),
-        h=0.1,
+        h=h,
         indices=indices,
         weights=weights,
         stage_cost=np.full((nc, 1), float(g_value)),
@@ -231,6 +231,46 @@ class TestInitialValueGuess:
         np.testing.assert_allclose(v0[blown], max_g / lam, rtol=1e-12)
         np.testing.assert_allclose(v0[~blown], best[~blown], rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "bundle, margin, h",
+        [("test1_bundle", 0.0, 0.02), ("test2_bundle", 0.0, 0.05), ("test1_bundle", 3.0, 0.5)],
+        ids=["test1-cubic", "test2-linear", "test1-blown"],
+    )
+    def test_structured_path_equals_a_whole_array_loop(self, request, bundle, margin, h):
+        sys_obj, snap, basis = request.getfixturevalue(bundle)
+        rs = ReducedSystem(basis, sys_obj, 4)
+        grid = aligned_grid(hp.build_domain(basis, snap, 4, margin=margin), 0.4)
+        controls, lam, t_e = [-1.0, 0.0, 1.0], 1.0, 3.0
+        v0 = hp.initial_value_guess(grid, rs, controls, lam, h, t_e)
+
+        # Reference: every live row advanced at once by y += h f(y), with the
+        # norms computed twice per step, for the cost and the blow-up test.
+        nodes = grid.all_nodes()
+        blow_sq = max(1.0, 1e12 * float(np.einsum("ma,ma->m", nodes, nodes).max()))
+        n_steps = int(np.ceil(t_e / h - 1e-12))
+        disc = np.exp(-lam * h * np.arange(n_steps))
+        best = np.full(grid.node_count, np.inf)
+        gmax = np.zeros(grid.node_count)
+        for u in controls:
+            y = nodes.copy()
+            acc = np.zeros(grid.node_count)
+            alive = np.ones(grid.node_count, dtype=bool)
+            for k in range(n_steps):
+                g = np.einsum("ma,ma->m", y, y) + rs.cost_cw * u * u
+                gmax = np.maximum(gmax, np.where(alive, np.abs(g), 0.0))
+                acc[alive] += disc[k] * g[alive] * h
+                live = y[alive]
+                cubic = 0.0 if rs.cubic is None else cubic_batch(live, rs.cubic)
+                y[alive] += h * (live @ rs.a_eff.T + u * rs.b_red - cubic)
+                alive &= np.einsum("ma,ma->m", y, y) <= blow_sq
+            acc[~alive] = np.inf
+            best = np.minimum(best, acc)
+        blown = ~np.isfinite(best)
+        best[blown] = gmax.max() / lam
+        assert (rs.cubic is None) == (bundle == "test2_bundle")
+        assert np.any(blown) == (margin > 0)
+        np.testing.assert_array_equal(v0, best)
+
     def test_no_einsum_path_search(self, test1_bundle, monkeypatch):
         from numpy._core import einsumfunc
 
@@ -274,8 +314,9 @@ class TestValueIteration:
 
     def test_step_beyond_half_the_discount_scale_warns(self):
         grid = toy_grid(diameter=0.25)
-        cache = constant_cache(grid, 1.0)
+        cache = constant_cache(grid, 1.0, h=0.5)
         hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.5, 1e-4)  # no warning
+        cache = constant_cache(grid, 1.0, h=0.6)
         message = r"^h=0.6 exceeds the recommended range h <= 1/\(2\*lam\)$"
         with pytest.warns(UserWarning, match=message):
             vf, _ = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.6, 1e-4)
@@ -412,11 +453,22 @@ def test_sweep_matches_per_node_loop(toy_solution_free, rng):
 
     grid, cache = toy_solution_free
     v = rng.normal(size=grid.node_count)
-    args = (v, cache.indices, cache.weights, cache.stage_cost, 0.998, 0.002)
+    lam, h = 1.0, cache.h
+    args = (v, cache.indices, cache.weights, cache.stage_cost, 1.0 - lam * h, h)
     ref_v, ref_a = _sweep_per_node(*args)
-    got_v, got_a = _accel.sweep(*args)
-    np.testing.assert_array_equal(got_v, ref_v)
-    np.testing.assert_array_equal(got_a, ref_a)
+    for got_v, got_a in (_accel.sweep(*args), hp.sweep_once(cache, v, lam, h)):
+        np.testing.assert_array_equal(got_v, ref_v)
+        np.testing.assert_array_equal(got_a, ref_a)
+
+
+def test_sweep_at_a_step_other_than_the_cache_is_refused(toy_solution_free):
+    grid, cache = toy_solution_free
+    v = np.zeros(grid.node_count)
+    message = r"h=0.001 differs from the arrival cache's h=0.002"
+    with pytest.raises(ValidationError, match=message):
+        hp.sweep_once(cache, v, 1.0, 0.001)
+    with pytest.raises(ValidationError, match=message):
+        hp.value_iteration(cache, v, 1.0, 0.001, 1e-6)
 
 
 @pytest.mark.parametrize("nc, nu, s", [(200, 11, 5), (300, 7, 7)])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hjbpod as hp
+from hjbpod import reduced
 from hjbpod.errors import ValidationError
 from hjbpod.reduced import Hyperbox, ReducedSystem, clipped_arrivals, grow_to_invariant
 
@@ -294,6 +295,56 @@ class TestGrowToInvariant:
         box = grow_to_invariant(rs, start, [-1.0, 1.0])
         np.testing.assert_array_equal(box.lower, start.lower)
         np.testing.assert_array_equal(box.upper, start.upper)
+
+    def test_test1_box_equals_an_80_step_bisection(self, test1_bundle, test1_reduced, monkeypatch):
+        # the bisection stops once no bracket can move; the box is bit for bit
+        # that of all 80 steps, from fewer vector-field calls
+        _, snap, basis = test1_bundle
+        start = hp.build_domain(basis, snap, 4)
+        calls = []
+        rhs_batch = test1_reduced.rhs_batch
+
+        def counting(Yr, u):
+            calls.append(u)
+            return rhs_batch(Yr, u)
+
+        monkeypatch.setattr(test1_reduced, "rhs_batch", counting)
+        box = grow_to_invariant(test1_reduced, start, [-1.0, 1.0])
+        early = len(calls)
+        monkeypatch.setattr(reduced, "_outermost_root", _outermost_root_80)
+        ref = grow_to_invariant(test1_reduced, start, [-1.0, 1.0])
+        np.testing.assert_array_equal(box.lower, ref.lower)
+        np.testing.assert_array_equal(box.upper, ref.upper)
+        assert early < len(calls) - early
+
+
+def _outermost_root_80(rs, pts, axis, u, sign):
+    """Reference: the root search of ``reduced._outermost_root``, bisecting
+    for all 80 steps."""
+    f = rs.rhs_batch(pts, u)[:, axis] * sign
+    active = f > 0.0
+    if not np.any(active):
+        return float(pts[0, axis])
+    pts = pts[active].copy()
+    v0 = pts[0, axis]
+    step = np.full(pts.shape[0], 1e-3 * max(1.0, abs(v0)))
+    lo = np.full(pts.shape[0], v0)
+    hi = lo + sign * step
+    while True:
+        pts[:, axis] = hi
+        out = rs.rhs_batch(pts, u)[:, axis] * sign > 0.0
+        if not np.any(out):
+            break
+        lo[out] = hi[out]
+        step[out] *= 2.0
+        hi[out] = hi[out] + sign * step[out]
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        pts[:, axis] = mid
+        out = rs.rhs_batch(pts, u)[:, axis] * sign > 0.0
+        lo[out] = mid[out]
+        hi[~out] = mid[~out]
+    return float(sign * np.max(sign * hi))
 
 
 def test_rank_validation(test1_bundle):
