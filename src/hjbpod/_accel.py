@@ -1,7 +1,9 @@
 """Hot numerical kernels of the dynamic-programming solve, in numpy and scipy.
 
-A sweep is one sparse matrix-vector product over every (node, control)
-pair; the warm-start rollouts advance all live nodes at once, with the
+A sweep is one sparse matrix-vector product over every (control, node)
+pair; its operator is control-major (row ``l*nc + i``), so that the minimum
+over the controls is an elementwise pass over nu contiguous rows of nc
+values.  The warm-start rollouts advance all live nodes at once, with the
 reduced cubic taken over its unique monomials
 (:func:`~hjbpod.reduced.cubic_batch`).  There are no compiled or parallel
 kernels, so results do not depend on the thread count.
@@ -19,56 +21,84 @@ HAVE_NUMBA = False
 
 
 def sweep_operator(idx, wts):
-    """The stencils as a CSR matrix with one row per (node, control) pair.
+    """The stencils as a CSR matrix with one row per (control, node) pair.
 
-    Rows are node-major (row ``i*nu + l``) and each sums its stencil in
-    vertex order; ``indices`` and ``data`` are views of ``idx`` and ``wts``.
+    ``idx`` and ``wts`` are control-major, (nu, nc, s) and C-contiguous.
+    Row ``l*nc + i`` sums the stencil of node i under control l in vertex
+    order; ``indices`` and ``data`` are views of ``idx`` and ``wts``.
     """
-    nc, nu, s = idx.shape
-    indptr = np.arange(0, nc * nu * s + 1, s, dtype=np.int32)
-    return sparse.csr_array((wts.reshape(-1), idx.reshape(-1), indptr), shape=(nc * nu, nc))
+    nu, nc, s = idx.shape
+    indptr = np.arange(0, nu * nc * s + 1, s, dtype=np.int32)
+    return sparse.csr_array((wts.reshape(-1), idx.reshape(-1), indptr), shape=(nu * nc, nc))
 
 
 def sweep_with(op, v, hg, one_minus_lh):
     """One Jacobi sweep through the operator of :func:`sweep_operator`.
 
-    ``hg`` is the (nc, nu) stage cost already scaled by the step h, so the
-    sweep allocates one nc*nu array, the product ``op @ v``.  Returns the
-    updated nodal values and the per-node argmin control index (ties resolve
-    to the lowest index, hence the smallest control value when the control
-    list is sorted ascending).
+    ``hg`` is the (nu, nc) stage cost already scaled by the step h, so the
+    sweep allocates one nu*nc array, the product ``op @ v``.  Returns the
+    updated nodal values and the per-node argmin control index, as
+    :func:`first_minimum` picks them.
     """
     vals = (op @ v).reshape(hg.shape)
     vals *= one_minus_lh
     vals += hg
-    argmin = np.argmin(vals, axis=1).astype(np.int32)
-    return np.take_along_axis(vals, argmin[:, None], axis=1)[:, 0], argmin
+    return first_minimum(vals)
+
+
+def first_minimum(vals):
+    """Per-node minimum of (nu, nc) candidates and the lowest index attaining it.
+
+    Each step is an elementwise pass over contiguous rows of nc values.  Ties
+    resolve to the lowest control index (hence the smallest control value
+    when the control list is sorted ascending), and a node's value has the
+    bits of that candidate, -0.0 included.  A node with a NaN candidate gets
+    the first NaN, as ``np.argmin`` would pick it.
+    """
+    nu, nc = vals.shape
+    best = np.minimum.reduce(vals, axis=0)
+    # a descending pass over the controls leaves the lowest minimal index
+    argmin = np.zeros(nc, dtype=np.int32)
+    hit = np.empty(nc, dtype=bool)
+    for l in range(nu - 1, -1, -1):
+        np.equal(vals[l], best, out=hit)
+        argmin[hit] = l
+    nan = np.isnan(best)
+    if nan.any():
+        argmin[nan] = np.argmax(np.isnan(vals[:, nan]), axis=0)
+    flat = argmin.astype(np.intp)
+    flat *= nc
+    flat += np.arange(nc)
+    return vals.reshape(-1).take(flat), argmin
 
 
 def sweep(v, idx, wts, g, one_minus_lh, h):
-    """One Jacobi sweep of the discrete dynamic-programming operator,
-    building the operator of :func:`sweep_operator` for this call alone."""
-    return sweep_with(sweep_operator(idx, wts), v, h * g, one_minus_lh)
+    """One Jacobi sweep of the discrete dynamic-programming operator on
+    node-major (nc, nu, ·) stencils and (nc, nu) costs, building the operator
+    of :func:`sweep_operator` for this call alone (no copy when the arrays
+    are transposed views of control-major storage, as a cache's are)."""
+    op = sweep_operator(*(np.ascontiguousarray(a.swapaxes(0, 1)) for a in (idx, wts)))
+    return sweep_with(op, v, h * np.ascontiguousarray(g.T), one_minus_lh)
 
 
 def rollout_minima(nodes, controls, cost, rhs, lam, h, n_steps, blow_sq):
     """Constant-control explicit-Euler cost minima over the controls.
 
     ``cost(y, u, sq)`` maps a block of states and their squared norms
-    ``sq = |y|^2`` to their stage costs.  ``rhs(y, u)`` maps a block of
-    states to their vector-field rows, in an array the rollout may
-    overwrite (it scales it by h in place).  Each step computes ``sq`` once,
+    ``sq = |y|^2`` to their stage costs, and ``rhs(y, u)`` maps a block of
+    states to their vector-field rows; both return arrays the rollout may
+    overwrite (it scales them in place).  Each step computes ``sq`` once,
     for the stage cost and for the blow-up test: a rollout dies, and its
     discounted cost becomes inf, once its squared norm exceeds ``blow_sq``;
     from then on its row is no longer advanced, so a blown-up state never
     overflows.  Returns the per-node minimum over the controls, the nodes
     where every rollout blew up, and the largest absolute stage cost seen
-    along each node's rollouts before blow-up.
+    along any rollout before blow-up.
     """
     disc = np.exp(-lam * h * np.arange(n_steps))
     nc = nodes.shape[0]
     best = np.full(nc, np.inf)
-    gmax = np.zeros(nc)
+    gmax = np.float64(0.0)
     sq_nodes = np.einsum("ma,ma->m", nodes, nodes)
     for u in controls:
         u = float(u)
@@ -78,9 +108,18 @@ def rollout_minima(nodes, controls, cost, rhs, lam, h, n_steps, blow_sq):
         alive = np.ones(nc, dtype=bool)
         for k in range(n_steps):
             g = cost(y, u, sq)
-            live = slice(None) if alive.all() else alive  # views until a row has died
-            gmax[live] = np.maximum(gmax[live], np.abs(g[live]))
-            acc[live] += disc[k] * g[live] * h
+            if alive.all():
+                live = slice(None)  # views until a row has died
+            elif alive.any():
+                live = alive
+                g = g[live]
+            else:
+                break
+            # max |g| without an |g| array; NaN propagates as in np.abs(g).max()
+            gmax = np.maximum(gmax, np.maximum(g.max(), -g.min()))
+            g *= disc[k]
+            g *= h
+            acc[live] += g
             f = rhs(y[live], u)
             f *= h
             y[live] += f
@@ -88,25 +127,34 @@ def rollout_minima(nodes, controls, cost, rhs, lam, h, n_steps, blow_sq):
             alive &= sq <= blow_sq
         acc[~alive] = np.inf
         np.minimum(best, acc, out=best)
-    return best, ~np.isfinite(best), gmax
+    return best, ~np.isfinite(best), float(gmax)
 
 
 def guess_structured(nodes, a_eff, b_red, cubic, controls, lam, h, n_steps, cost_cw, blow_sq):
     """:func:`rollout_minima` for the structured reduced dynamics.
 
     The vector field is ``y @ a_eff.T + u b_red``, minus the cubic when
-    ``cubic`` is the monomial pair of :func:`~hjbpod.reduced.cubic_monomials`,
-    written into one (nc, r) buffer that every step reuses; the stage cost
-    is ``sq + cost_cw u^2`` with ``sq = |y|^2`` from the rollout.
+    ``cubic`` is the monomial pair of :func:`~hjbpod.reduced.cubic_monomials`.
+    It is written into one (nc, r) buffer that every step reuses: the
+    product with a contiguous copy of ``a_eff.T``, then ``u b_red`` tiled
+    over every row (once per control) and added as one flat pass, whose
+    leading rows serve a block of live rows.  The stage cost
+    ``sq + cost_cw u^2``, with ``sq = |y|^2`` from the rollout, is written
+    into one (nc,) buffer.
     """
+    nc = nodes.shape[0]
     buf = np.empty_like(nodes)
+    gbuf = np.empty(nc)
+    a_t = np.ascontiguousarray(a_eff.T)
+    drift = {float(u): np.tile(float(u) * b_red, nc) for u in controls}
 
     def cost(y, u, sq):
-        return sq + cost_cw * u * u
+        return np.add(sq, cost_cw * u * u, out=gbuf)
 
     def rhs(y, u):
-        f = np.matmul(y, a_eff.T, out=buf[: y.shape[0]])
-        f += u * b_red
+        f = np.matmul(y, a_t, out=buf[: y.shape[0]])
+        flat = f.reshape(-1)
+        flat += drift[u][: flat.size]
         if cubic is not None:
             f -= cubic_batch(y, cubic)
         return f

@@ -408,6 +408,8 @@ def cmd_solve(cfg: RunConfig) -> Path:
         values=vf.values,
         controls=table.controls,
         control_values=controls.values,
+        residual_history=vf.residual_history,
+        argmin_change_history=vf.argmin_change_history,
     )
 
     meta = _meta_skeleton(cfg)

@@ -8,10 +8,11 @@ The nodal fixed-point relation is
 with I the piecewise-linear interpolation of the grid.  Arrival points,
 their interpolation stencils and the stage costs are static across sweeps
 and precomputed into an :class:`ArrivalCache`, which builds its sparse sweep
-operator and its h-scaled costs once; each Jacobi sweep is then one sparse
-matrix-vector product over every (node, control) pair followed by a minimum
-over the controls, a contraction with factor (1 - lam*h).
-There are no compiled or parallel kernels.
+operator and its h-scaled costs once.  The cache is indexed node-major and
+stored control-major, so each Jacobi sweep is one sparse matrix-vector
+product over every (control, node) pair followed by a minimum over the
+controls taken as elementwise passes over contiguous rows, a contraction
+with factor (1 - lam*h).  There are no compiled or parallel kernels.
 """
 
 from __future__ import annotations
@@ -52,27 +53,40 @@ class ControlSet:
 
 @dataclass(frozen=True)
 class ArrivalCache:
-    """Per (node, control): stencil of the clamped arrival point and stage cost."""
+    """Per (node, control): stencil of the clamped arrival point and stage cost.
+
+    The three per-pair arrays are indexed node-major, ``[node, control]``,
+    and stored control-major: each is the transposed view of a C-contiguous
+    ``(nu, nc, ...)`` array, so that a sweep reads every control's block of
+    nodes contiguously.  Node-major arrays given at construction are copied
+    into that layout.
+    """
 
     grid: SimplexGrid
     control_values: Array  # (nu,)
     h: float
-    indices: Array  # (nc, nu, r+1) int32
-    weights: Array  # (nc, nu, r+1)
-    stage_cost: Array  # (nc, nu)
+    indices: Array  # (nc, nu, r+1) int32, stored (nu, nc, r+1)
+    weights: Array  # (nc, nu, r+1), stored (nu, nc, r+1)
+    stage_cost: Array  # (nc, nu), stored (nu, nc)
     invariance: InvarianceReport
+
+    def __post_init__(self):
+        for name in ("indices", "weights", "stage_cost"):
+            base = np.ascontiguousarray(getattr(self, name).swapaxes(0, 1))
+            object.__setattr__(self, name, base.swapaxes(0, 1))
 
     @cached_property
     def operator(self):
-        """The node-major CSR sweep operator (:func:`_accel.sweep_operator`),
+        """The control-major CSR sweep operator (:func:`_accel.sweep_operator`),
         built once; its ``data`` and ``indices`` are views of ``weights``
         and ``indices``."""
-        return _accel.sweep_operator(self.indices, self.weights)
+        return _accel.sweep_operator(self.indices.swapaxes(0, 1), self.weights.swapaxes(0, 1))
 
     @cached_property
     def scaled_cost(self):
-        """``h * stage_cost``, the cost term of every sweep, formed once."""
-        return self.h * self.stage_cost
+        """``h * stage_cost``, the cost term of every sweep, formed once as a
+        C-contiguous (nu, nc) array."""
+        return self.h * self.stage_cost.T
 
 
 @dataclass(frozen=True)
@@ -146,13 +160,14 @@ def build_arrival_cache(
         )
 
     nodes = grid.all_nodes()
-    indices = np.empty((nc, nu, grid.r + 1), dtype=np.int32)
-    weights = np.empty((nc, nu, grid.r + 1))
-    stage_cost = np.empty((nc, nu))
+    # control-major storage: control l's block of nodes is contiguous
+    indices = np.empty((nu, nc, grid.r + 1), dtype=np.int32)
+    weights = np.empty((nu, nc, grid.r + 1))
+    stage_cost = np.empty((nu, nc))
 
     def freeze(l, rows, clipped):
-        indices[rows, l, :], weights[rows, l, :] = stencil_batch(grid, clipped)
-        stage_cost[rows, l] = rs.cost_batch(nodes[rows], float(vals[l]))
+        indices[l, rows], weights[l, rows] = stencil_batch(grid, clipped)
+        stage_cost[l, rows] = rs.cost_batch(nodes[rows], float(vals[l]))
 
     report, _, _ = clipped_arrivals(rs, grid.box, nodes, vals, h, visit=freeze)
     if clamp_policy == "reject" and report.violations:
@@ -164,9 +179,9 @@ def build_arrival_cache(
         grid=grid,
         control_values=vals.copy(),
         h=float(h),
-        indices=indices,
-        weights=weights,
-        stage_cost=stage_cost,
+        indices=indices.swapaxes(0, 1),
+        weights=weights.swapaxes(0, 1),
+        stage_cost=stage_cost.T,
         invariance=report,
     )
 
@@ -197,7 +212,10 @@ def value_iteration(
     Stops when two consecutive iterates differ by less than ``stop_tol`` in
     the maximum norm.  Hitting ``max_iters`` returns a result flagged as
     unconverged rather than raising, so long parameter sweeps keep partial
-    data.  Argmin ties resolve to the smallest control value.
+    data.  A non-finite ``v0`` is refused, and a sweep whose residual is NaN
+    (a NaN reached the values, and would spread to every node) raises
+    :class:`NumericalError`.  Argmin ties resolve to the smallest control
+    value.
     """
     if stop_tol <= 0:
         raise ValidationError("stop_tol must be positive")
@@ -211,6 +229,10 @@ def value_iteration(
     v = np.asarray(v0, dtype=float).copy()
     if v.shape != (cache.grid.node_count,):
         raise ValidationError("initial guess has wrong length")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(
+            f"initial guess has {np.count_nonzero(~np.isfinite(v))} non-finite values"
+        )
     residuals = []
     argmin_changes = []
     prev_argmin = None
@@ -221,6 +243,11 @@ def value_iteration(
     for iterations in range(1, max_iters + 1):
         v_new, argmin = sweep_once(cache, v, lam, h)
         residual = float(_accel.max_abs_diff(v_new, v))
+        if np.isnan(residual):
+            raise NumericalError(
+                f"value iteration reached NaN values at sweep {iterations} "
+                f"({np.count_nonzero(np.isnan(v_new))} of {v_new.size} nodes)"
+            )
         residuals.append(residual)
         if prev_argmin is None:
             argmin_changes.append(cache.grid.node_count)
@@ -286,7 +313,7 @@ def initial_value_guess(
     blow_sq = max(1.0, 1e12 * float(norm_sq.max()))
 
     if rs.structured and rs.cost_cw is not None:
-        vals, blown, gmax = _accel.guess_structured(
+        vals, blown, max_g = _accel.guess_structured(
             nodes, rs.a_eff, rs.b_red, rs.cubic, controls, lam, h, n_steps, rs.cost_cw, blow_sq
         )
     else:
@@ -294,11 +321,9 @@ def initial_value_guess(
         def cost(y, u, sq):
             return rs.cost_batch(y, u)
 
-        vals, blown, gmax = _accel.rollout_minima(
+        vals, blown, max_g = _accel.rollout_minima(
             nodes, controls, cost, rs.rhs_batch, lam, h, n_steps, blow_sq
         )
-    max_g = float(gmax.max()) if gmax.size else 0.0
-
     if np.any(blown):
         logger.warning(
             "initial guess: %d nodes blew up under every guess control; using surrogate",

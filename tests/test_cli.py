@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from hjbpod import cli, lqr
+from hjbpod import cli, hjbsolve, lqr
 from hjbpod.errors import ValidationError
 from hjbpod.hjbgrid import aligned_grid
 from hjbpod.reduced import Hyperbox
@@ -157,6 +157,24 @@ class TestPipeline:
         with np.load(out / "solve_r2.npz") as data:
             np.testing.assert_array_equal(solution[:, -2], data["values"])
             np.testing.assert_array_equal(solution[:, -1], data["controls"])
+
+    def test_npz_keeps_the_iteration_histories(self, tmp_path, monkeypatch):
+        solved, solve = [], hjbsolve.value_iteration
+
+        def value_iteration(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(cli.hjbsolve, "value_iteration", value_iteration)
+        cfg = tiny_config(tmp_path)
+        cli.cmd_snapshots(cfg)
+        cli.cmd_solve(cfg)
+        ((vf, _),) = solved
+        with np.load(tmp_path / "solve_r2.npz") as data:
+            np.testing.assert_array_equal(data["residual_history"], vf.residual_history)
+            np.testing.assert_array_equal(data["argmin_change_history"], vf.argmin_change_history)
+            assert data["argmin_change_history"].dtype == np.int64
+        assert vf.residual_history.size == vf.iterations > 1
 
     def test_simulation_costs_recorded(self, run_dir):
         out, _ = run_dir

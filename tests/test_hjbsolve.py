@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import hjbpod as hp
-from hjbpod.errors import ValidationError
+from hjbpod.errors import NumericalError, ValidationError
 from hjbpod.hjbgrid import aligned_grid, stencil_batch
 from hjbpod.hjbsolve import ArrivalCache
 from hjbpod.reduced import Hyperbox, ReducedSystem, cubic_batch
@@ -250,14 +250,14 @@ class TestInitialValueGuess:
         n_steps = int(np.ceil(t_e / h - 1e-12))
         disc = np.exp(-lam * h * np.arange(n_steps))
         best = np.full(grid.node_count, np.inf)
-        gmax = np.zeros(grid.node_count)
+        gmax = 0.0
         for u in controls:
             y = nodes.copy()
             acc = np.zeros(grid.node_count)
             alive = np.ones(grid.node_count, dtype=bool)
             for k in range(n_steps):
                 g = np.einsum("ma,ma->m", y, y) + rs.cost_cw * u * u
-                gmax = np.maximum(gmax, np.where(alive, np.abs(g), 0.0))
+                gmax = max(gmax, np.where(alive, np.abs(g), 0.0).max())
                 acc[alive] += disc[k] * g[alive] * h
                 live = y[alive]
                 cubic = 0.0 if rs.cubic is None else cubic_batch(live, rs.cubic)
@@ -266,7 +266,7 @@ class TestInitialValueGuess:
             acc[~alive] = np.inf
             best = np.minimum(best, acc)
         blown = ~np.isfinite(best)
-        best[blown] = gmax.max() / lam
+        best[blown] = gmax / lam
         assert (rs.cubic is None) == (bundle == "test2_bundle")
         assert np.any(blown) == (margin > 0)
         np.testing.assert_array_equal(v0, best)
@@ -382,6 +382,25 @@ class TestValueIteration:
         vf, _ = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.002, 1e-12, max_iters=3)
         assert not vf.converged
         assert vf.iterations == 3
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_initial_guess_refused(self, toy_cache, bad):
+        grid, cache = toy_cache
+        v0 = np.zeros(grid.node_count)
+        v0[7] = bad
+        with pytest.raises(ValidationError, match="^initial guess has 1 non-finite values$"):
+            hp.value_iteration(cache, v0, 1.0, 0.002, 1e-6)
+
+    def test_nan_residual_raises_at_its_sweep(self, toy_cache):
+        # a NaN stage cost at one pair reaches that node's value at sweep 1;
+        # the iteration stops there instead of running max_iters sweeps
+        grid, cache = toy_cache
+        stage_cost = cache.stage_cost.copy()
+        stage_cost[5, 1] = np.nan
+        bad = dataclasses.replace(cache, stage_cost=stage_cost)
+        message = r"^value iteration reached NaN values at sweep 1 \(1 of \d+ nodes\)$"
+        with pytest.raises(NumericalError, match=message):
+            hp.value_iteration(bad, np.zeros(grid.node_count), 1.0, 0.002, 1e-6, max_iters=5000)
 
     def test_full_space_equivalence_identity_basis(self, rng):
         # With the identity basis the "reduced" solve IS the full-space
@@ -537,6 +556,138 @@ def test_value_iteration_builds_the_sweep_operator_once_per_cache(
     again, _ = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.002, 1e-8)
     assert len(built_operators) == 1
     np.testing.assert_array_equal(again.values, vf.values)
+
+
+def _node_major_jacobi(cache, v0, lam, h, stop_tol):
+    """Reference value iteration on node-major (nc, nu) candidates: each
+    stencil summed in vertex order from 0.0, as a CSR row is, then
+    ``np.argmin`` and ``take_along_axis`` over the controls."""
+    idx, wts = np.ascontiguousarray(cache.indices), np.ascontiguousarray(cache.weights)
+    hg = h * np.ascontiguousarray(cache.stage_cost)
+    v, prev, residuals, changes = v0.copy(), None, [], []
+    while True:
+        acc = np.zeros(hg.shape)
+        for q in range(idx.shape[2]):
+            acc += wts[:, :, q] * v[idx[:, :, q]]
+        cand = acc * (1.0 - lam * h) + hg
+        argmin = np.argmin(cand, axis=1)
+        v_new = np.take_along_axis(cand, argmin[:, None], axis=1)[:, 0]
+        residuals.append(np.max(np.abs(v_new - v)))
+        changes.append(v.size if prev is None else np.count_nonzero(argmin != prev))
+        v, prev = v_new, argmin
+        if residuals[-1] < stop_tol:
+            return v, argmin, residuals, changes
+
+
+@pytest.mark.parametrize(
+    "bundle, r, diameter", [("test1_bundle", 3, 0.05), ("test2_bundle", 2, 0.1)],
+    ids=["test1", "test2"],
+)
+def test_value_iteration_equals_a_node_major_jacobi_loop(request, bundle, r, diameter):
+    # 243 and 189 nodes, 11 controls, about 200 sweeps each
+    sys_obj, snap, basis = request.getfixturevalue(bundle)
+    rs = ReducedSystem(basis, sys_obj, r)
+    grid = aligned_grid(hp.build_domain(basis, snap, r), diameter)
+    controls = hp.ControlSet(np.linspace(*sys_obj.control_box, 11))
+    h, stop_tol = 0.01, 1e-6
+    cache = hp.build_arrival_cache(grid, rs, controls, h)
+    v0 = hp.initial_value_guess(grid, rs, [controls.values[0], 0.0], 1.0, 0.05, 1.0)
+    vf, table = hp.value_iteration(cache, v0, 1.0, h, stop_tol)
+    ref_v, ref_a, ref_res, ref_changes = _node_major_jacobi(cache, v0, 1.0, h, stop_tol)
+    assert cache.invariance.violations > 0 and vf.iterations > 100
+    assert vf.iterations == len(ref_res)
+    np.testing.assert_array_equal(vf.values, ref_v)
+    np.testing.assert_array_equal(table.controls, controls.values[ref_a])
+    np.testing.assert_array_equal(vf.residual_history, ref_res)
+    np.testing.assert_array_equal(vf.argmin_change_history, ref_changes)
+
+
+def test_first_minimum_takes_the_lowest_index_with_its_bits():
+    from hjbpod import _accel
+
+    # one row of nu candidates per node, transposed to the (nu, nc) layout
+    nodes = np.array(
+        [
+            [0.0, -0.0, 1.0],  # signed-zero tie: +0.0 from control 0
+            [-0.0, 0.0, 1.0],  # -0.0 from control 0
+            [1.0, -0.0, 0.0],  # -0.0 from control 1
+            [2.0, 1.0, 1.0],  # exact tie at control 1
+            [1.0, np.nan, 0.0],  # a NaN candidate is never replaced
+            [np.nan, -1.0, np.nan],
+            [3.0, 2.0, 1.0],
+        ]
+    )
+    vals = np.ascontiguousarray(nodes.T)
+    got_v, got_a = _accel.first_minimum(vals)
+    # the node-major rule: np.argmin and the candidate at it
+    ref_a = np.argmin(nodes, axis=1)
+    ref_v = nodes[np.arange(len(nodes)), ref_a]
+    np.testing.assert_array_equal(got_a, ref_a)
+    assert got_a.dtype == np.int32
+    assert got_v.view(np.uint64).tolist() == ref_v.view(np.uint64).tolist()
+    assert got_a.tolist() == [0, 0, 1, 1, 1, 0, 2]
+    assert np.signbit(got_v[:3]).tolist() == [False, True, True]
+
+
+def test_cache_gathers_equal_the_per_node_stencils(toy_solution_free, toy_reduced, rng):
+    # the node-major indexing of the control-major cache, as perfbench's
+    # reference reads it, against the stencils of every arrival
+    grid, cache = toy_solution_free
+    nodes = grid.all_nodes()
+    at = np.arange(grid.node_count)
+    policy = rng.integers(0, cache.control_values.size, size=grid.node_count)
+    want_idx, want_wts, want_cost = [], [], []
+    for i, l in zip(at, policy):
+        u = float(cache.control_values[l])
+        node = nodes[i : i + 1]
+        arrival = grid.box.clip(node + cache.h * toy_reduced.rhs_batch(node, u))
+        idx, wts = stencil_batch(grid, arrival)
+        want_idx.append(idx[0])
+        want_wts.append(wts[0])
+        want_cost.append(toy_reduced.cost_batch(node, u)[0])
+    np.testing.assert_array_equal(cache.indices[at, policy], want_idx)
+    np.testing.assert_array_equal(cache.weights[at, policy], want_wts)
+    np.testing.assert_array_equal(cache.stage_cost[at, policy], want_cost)
+
+
+def test_cache_is_stored_control_major_and_the_operator_shares_it(toy_solution_free):
+    grid, cache = toy_solution_free
+    nc, nu = grid.node_count, cache.control_values.size
+    assert cache.indices.shape == (nc, nu, 2) and cache.stage_cost.shape == (nc, nu)
+    for field in (cache.indices, cache.weights, cache.stage_cost):
+        assert field.swapaxes(0, 1).flags.c_contiguous
+    assert cache.scaled_cost.shape == (nu, nc) and cache.scaled_cost.flags.c_contiguous
+    op = cache.operator
+    assert np.shares_memory(op.data, cache.weights)
+    assert np.shares_memory(op.indices, cache.indices)
+    # row l*nc + i is the stencil of node i under control l
+    for i, l in ((0, 0), (3, 2), (nc - 1, 1)):
+        row = op[[l * nc + i]]
+        np.testing.assert_array_equal(row.indices, cache.indices[i, l])
+        np.testing.assert_array_equal(row.data, cache.weights[i, l])
+
+
+def test_a_hand_built_node_major_cache_sweeps_as_the_per_node_loop(rng):
+    nc, nu, s = 150, 5, 3
+    idx = rng.integers(0, nc, size=(nc, nu, s)).astype(np.int32)
+    wts = rng.dirichlet(np.ones(s), size=(nc, nu))
+    g = rng.uniform(0.0, 1.0, size=(nc, nu))
+    grid = toy_grid(diameter=2.0 / (nc - 1))
+    assert grid.node_count == nc
+    cache = ArrivalCache(
+        grid=grid, control_values=np.linspace(-1.0, 1.0, nu), h=0.002,
+        indices=idx, weights=wts, stage_cost=g,
+        invariance=hp.InvarianceReport(nc * nu, 0, np.zeros(1)),
+    )
+    # the fields read as given; the storage is a control-major copy
+    for field, given in ((cache.indices, idx), (cache.weights, wts), (cache.stage_cost, g)):
+        np.testing.assert_array_equal(field, given)
+        assert field.swapaxes(0, 1).flags.c_contiguous and not np.shares_memory(field, given)
+    v = rng.normal(size=nc)
+    got_v, got_a = hp.sweep_once(cache, v, 1.0, 0.002)
+    ref_v, ref_a = _sweep_per_node(v, idx, wts, g, 0.998, 0.002)
+    np.testing.assert_array_equal(got_v, ref_v)
+    np.testing.assert_array_equal(got_a, ref_a)
 
 
 class TestFeedback:
