@@ -6,7 +6,9 @@ over the controls is an elementwise pass over nu contiguous rows of nc
 values.  The warm-start rollouts advance all live nodes at once, with the
 reduced cubic taken over its unique monomials
 (:func:`~hjbpod.reduced.cubic_batch`).  There are no compiled or parallel
-kernels, so results do not depend on the thread count.
+kernels here, but the results still depend on the BLAS thread count: the
+POD basis they start from changes in its last bits with it (the CLI
+records the thread variables with each run).
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import argparse
 import datetime
 import json
 import logging
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
@@ -36,13 +37,7 @@ logger = logging.getLogger(__name__)
 # Test 2 solves to a tighter fixed point and uses a coarser control set:
 # the control-table argmins near the target state need both to settle.
 _TEST_DEFAULTS = {
-    "test1": dict(
-        snapshot_controls=(-1.0, 0.0, 1.0),
-        k_r=0.02,
-        control_count=21,
-        quotient_at_zero=True,
-        ensure_invariance=True,
-    ),
+    "test1": dict(quotient_at_zero=True, ensure_invariance=True),
     "test2": dict(
         snapshot_controls=(-2.2, -1.1, 0.0),
         k_r=0.1,
@@ -74,11 +69,16 @@ def _of_kind(value, kind: str) -> bool:
 
 @dataclass
 class RunConfig:
-    """Parameters of a pipeline run.
+    """Parameters of a pipeline run: the one place where a run's settings
+    are defined and checked.
 
     Construction checks each value against its field's kind, converts the
-    tuple fields to float tuples, validates the values and fills the derived
-    defaults, so every field holds the value the run uses.
+    tuple fields to float tuples, fills the derived defaults and checks
+    every value's range, so every field holds the value the run uses and a
+    bad value raises a ValidationError naming its key before any command
+    reads or writes.  Values from a config file and from flags pass the
+    same checks.  The solve's size is limited by ``cache_budget`` alone:
+    the grid may have ``cache_budget // (control_count * (r + 1))`` nodes.
     """
 
     test: str = "test1"
@@ -102,7 +102,6 @@ class RunConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     guess_step: float | None = None  # default: h
-    node_budget: int = 5_000_000
     cache_budget: int = 200_000_000
     outdir: str = "runs"
     factory: str | None = None
@@ -124,11 +123,22 @@ class RunConfig:
         if self.guess_step is None:
             self.guess_step = self.h
         for key in (
-            "T", "dt", "t_e", "k_r", "lam", "stop_tol", "r",
-            "h", "guess_step", "control_count", "max_iters",
+            "T", "dt", "tau", "t_e", "k_r", "lam", "stop_tol", "r", "h", "guess_step",
+            "control_count", "max_iters", "rel_tol", "abs_tol", "cache_budget",
         ):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key} must be positive")
+        if self.margin < 0:
+            raise ValidationError("margin must be nonnegative")
+        if not self.snapshot_controls:
+            raise ValidationError("snapshot_controls must hold at least one control")
+        if self.control_box is not None and len(self.control_box) != 2:
+            raise ValidationError(f"control_box must be two numbers, got {self.control_box!r}")
+        choices = {"test": (*_TEST_DEFAULTS, "custom"), "clamp_policy": ("clamp", "reject")}
+        for key, allowed in choices.items():
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValidationError(f"{key} must be one of {allowed}, got {value!r}")
 
     def integrator(self) -> dynamics.IntegratorConfig:
         return dynamics.IntegratorConfig(rel_tol=self.rel_tol, abs_tol=self.abs_tol)
@@ -215,11 +225,17 @@ _CSV_SCHEMAS = {
 }
 
 
+# The variables that set the BLAS thread count.  The POD basis, and so every
+# later artifact, changes in its last bits with that count.
+_THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _meta_skeleton(cfg: RunConfig) -> dict:
     return {
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": asdict(cfg),
         "csv_schemas": _CSV_SCHEMAS,
+        "thread_env": {name: os.environ.get(name) for name in _THREAD_VARIABLES},
     }
 
 
@@ -245,11 +261,17 @@ def _grid_from_payload(payload: dict) -> SimplexGrid:
 _SYSTEM_KEYS = ("test", "N", "factory", "control_box")
 
 
+def _settings(cfg: RunConfig, keys=None) -> dict:
+    """The values of ``keys`` (default: every field) as an artifact's JSON
+    stores them, so that they compare equal to the stored ones."""
+    keys = [f.name for f in fields(cfg)] if keys is None else keys
+    return json.loads(json.dumps({k: getattr(cfg, k) for k in keys}, default=_json_default))
+
+
 def _check_system(cfg: RunConfig, path: Path, stored: dict, command: str) -> None:
     """Raise a ValidationError unless ``stored``, the config that ``command``
     wrote ``path`` under, has this run's ``_SYSTEM_KEYS``."""
-    ours = {k: getattr(cfg, k) for k in _SYSTEM_KEYS}
-    ours = json.loads(json.dumps(ours, default=_json_default))
+    ours = _settings(cfg, _SYSTEM_KEYS)
     for key in _SYSTEM_KEYS:
         if stored.get(key) != ours[key]:
             raise ValidationError(
@@ -298,10 +320,11 @@ def _load_solution(out: Path, cfg: RunConfig, basis: pod.PODBasis) -> hjbsolve.C
 
 def cmd_snapshots(cfg: RunConfig) -> Path:
     """Generate the snapshot bundle, its POD basis and the correlation spectrum CSV."""
-    out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
     sys_obj = cfg.system()
     y0 = cfg.initial_state(sys_obj)
+    icfg = cfg.integrator()
+    out = Path(cfg.outdir)
+    out.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     snap = pod.generate_snapshots(
         sys_obj,
@@ -309,7 +332,7 @@ def cmd_snapshots(cfg: RunConfig) -> Path:
         y0,
         cfg.dt,
         cfg.T,
-        cfg.integrator(),
+        icfg,
         quotient_at_zero=cfg.quotient_at_zero,
     )
     pod.save_snapshots(out / "snapshots.npz", snap)
@@ -350,13 +373,21 @@ def cmd_solve(cfg: RunConfig) -> Path:
     rs = reduced.ReducedSystem(basis, sys_obj, cfg.r)
     box = reduced.build_domain(basis, snap, cfg.r, margin=cfg.margin)
     control_values = np.linspace(*sys_obj.control_box, cfg.control_count)
-    if cfg.ensure_invariance:
-        box = reduced.grow_to_invariant(rs, box, sys_obj.control_box)
-        grid = ensure_invariant_grid(
-            rs, box, control_values, cfg.k_r, cfg.h, node_budget=cfg.node_budget
-        )
-    else:
-        grid = aligned_grid(box, cfg.k_r, node_budget=cfg.node_budget)
+    # the most nodes whose arrival cache fits in cache_budget entries, so that
+    # a grid too large for the cache is refused before its arrivals are computed
+    node_budget = cfg.cache_budget // (cfg.control_count * (cfg.r + 1))
+    try:
+        if cfg.ensure_invariance:
+            box = reduced.grow_to_invariant(rs, box, sys_obj.control_box)
+            grid = ensure_invariant_grid(
+                rs, box, control_values, cfg.k_r, cfg.h, node_budget=node_budget
+            )
+        else:
+            grid = aligned_grid(box, cfg.k_r, node_budget=node_budget)
+    except ValidationError as exc:
+        raise ValidationError(
+            f"{exc} nodes, the most whose arrival cache fits in cache_budget={cfg.cache_budget}"
+        ) from exc
     timings["setup_s"] = time.perf_counter() - t0
     logger.info(
         "grid: %s cells, %d nodes, k_r=%.4g",
@@ -504,7 +535,7 @@ def _care_for(out: Path, cfg: RunConfig, lq_data: tuple) -> lqr.CareSolution:
     per field.
     """
     path = out / "care.npz"
-    key = json.dumps({k: getattr(cfg, k) for k in _CARE_KEYS}, sort_keys=True)
+    key = json.dumps(_settings(cfg, _CARE_KEYS), sort_keys=True)
     if path.exists():
         with np.load(path) as data:
             if str(data["key"]) == key:
@@ -527,7 +558,7 @@ def _simulated_with(sim_path: Path, cfg: RunConfig) -> bool:
         return False
     with open(sim_path) as fh:
         stored = json.load(fh).get("config")
-    return stored == json.loads(json.dumps(asdict(cfg), default=_json_default))
+    return stored == _settings(cfg)
 
 
 def cmd_compare_lqr(cfg: RunConfig) -> Path:
@@ -654,6 +685,13 @@ _COMMANDS = {
 }
 
 
+# The RunConfig fields that are also flags, each spelt --name with "-" for "_".
+_FLAGS = (
+    "test", "outdir", "N", "r", "k_r", "h", "dt", "T", "tau", "t_e", "lam",
+    "control_count", "stop_tol", "max_iters", "margin", "clamp_policy", "guess_step",
+)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(
         prog="hjbpod",
@@ -661,23 +699,10 @@ def main(argv=None) -> int:
     )
     p.add_argument("command", choices=list(_COMMANDS))
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--test", choices=["test1", "test2", "custom"])
-    p.add_argument("--outdir")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--r", type=int)
-    p.add_argument("--k-r", type=float, dest="k_r")
-    p.add_argument("--h", type=float)
-    p.add_argument("--dt", type=float)
-    p.add_argument("--T", type=float, dest="T")
-    p.add_argument("--tau", type=float)
-    p.add_argument("--t-e", type=float, dest="t_e")
-    p.add_argument("--lam", type=float)
-    p.add_argument("--control-count", type=int, dest="control_count")
-    p.add_argument("--stop-tol", type=float, dest="stop_tol")
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--margin", type=float)
-    p.add_argument("--clamp-policy", choices=["clamp", "reject"], dest="clamp_policy")
-    p.add_argument("--guess-step", type=float, dest="guess_step")
+    for name in _FLAGS:
+        kind = RunConfig.__dataclass_fields__[name].type.partition(" | ")[0]
+        parse = {"int": int, "float": float, "str": str}[kind]
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse)
     p.add_argument("-v", "--verbose", action="store_true")
     args = p.parse_args(argv)
 
@@ -687,7 +712,7 @@ def main(argv=None) -> int:
     )
 
     # load_config drops the flags left unset (None)
-    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config", "verbose")}
+    overrides = {name: getattr(args, name) for name in _FLAGS}
     try:
         cfg = load_config(args.config, overrides)
         _COMMANDS[args.command](cfg)

@@ -41,6 +41,10 @@ class TestConfig:
         assert cfg.quotient_at_zero is True
         assert cfg.ensure_invariance is False
         assert cfg.stop_tol == 1e-6
+        cfg = cli.load_config(None, {"test": "test1"})
+        assert cfg.snapshot_controls == (-1.0, 0.0, 1.0)
+        assert (cfg.k_r, cfg.control_count, cfg.stop_tol) == (0.02, 21, 5e-4)
+        assert cfg.quotient_at_zero is True and cfg.ensure_invariance is True
 
     def test_resolved_derived_values(self):
         cfg = cli.load_config(None, {"test": "test1"})
@@ -99,6 +103,37 @@ class TestConfig:
     def test_nonpositive_value_rejected(self, key, value):
         with pytest.raises(ValidationError, match=f"^{key} must be positive"):
             cli.load_config(None, {"test": "test1", key: value})
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("tau", -1.0, "tau must be positive"),
+            ("rel_tol", 0.0, "rel_tol must be positive"),
+            ("abs_tol", -1e-12, "abs_tol must be positive"),
+            ("cache_budget", 0, "cache_budget must be positive"),
+            ("margin", -0.1, "margin must be nonnegative"),
+            ("snapshot_controls", [], "snapshot_controls must hold at least one control"),
+            ("control_box", [-2.2], "control_box must be two numbers"),
+            ("control_box", [-2.2, 0.0, 1.0], "control_box must be two numbers"),
+            ("test", "bogus", "test must be one of ('test1', 'test2', 'custom')"),
+            ("clamp_policy", "bogus", "clamp_policy must be one of ('clamp', 'reject')"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_before_any_work(
+        self, tmp_path, capsys, key, value, message
+    ):
+        # a config file's value and a flag's pass the same checks, before
+        # snapshots integrates anything or creates the run directory
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"test": "test2", key: value}))
+        runs = [["--config", str(path)]]
+        if key in cli._FLAGS:
+            runs.append(["--test", "test2", "--" + key.replace("_", "-"), str(value)])
+        for argv in runs:
+            assert cli.main(["snapshots", "--outdir", str(out)] + argv) == 2
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     def test_out_of_range_value_exits_2(self, tmp_path, capsys):
         # rejected with the configuration, before the command reads or writes
@@ -187,6 +222,21 @@ class TestPipeline:
         cli.cmd_report(cfg)
         captured = capsys.readouterr()
         assert "meta_r2.json" in captured.out
+
+    def test_meta_records_the_thread_variables(self, run_dir, monkeypatch):
+        # the POD basis depends on the BLAS thread count
+        out, cfg = run_dir
+        for name in ("snapshots_meta.json", "meta_r2.json", "simulate_r2.json"):
+            stored = json.loads((out / name).read_text())["thread_env"]
+            assert set(stored) == {"OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert cli._meta_skeleton(cfg)["thread_env"] == {
+            "OMP_NUM_THREADS": "2",
+            "OPENBLAS_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": None,
+        }
 
     def test_rank_too_large(self, run_dir):
         out, cfg = run_dir
@@ -382,6 +432,18 @@ def test_compare_lqr_solves_care_once_per_system_and_discount(tmp_path, monkeypa
     assert outputs() == fresh
 
 
+def test_care_key_spelling(tmp_path):
+    # care.npz written before must keep matching: its key is the JSON of the
+    # system keys and lam, sorted, as json.dumps spells them
+    cfg = small_test2_config(tmp_path, control_box=(-2.2, 0.0))
+    cli._care_for(tmp_path, cfg, lqr.linear_quadratic_data(cfg.system(), cfg.lam))
+    with np.load(tmp_path / "care.npz") as data:
+        key = str(data["key"])
+    assert key == (
+        '{"N": 24, "control_box": [-2.2, 0.0], "factory": null, "lam": 1.0, "test": "test2"}'
+    )
+
+
 def test_simulate_records_the_share_outside_the_grid_box(tmp_path):
     # outside the table's box the feedback is clamped and not certified
     cfg = small_test2_config(tmp_path)
@@ -471,6 +533,80 @@ class TestMainEntry:
         with pytest.raises(SystemExit) as exc:
             cli.main(["bogus", "--outdir", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "name, text, value",
+        [
+            ("test", "test2", "test2"),
+            ("outdir", "runs/x", "runs/x"),
+            ("N", "40", 40),
+            ("r", "3", 3),
+            ("k_r", "0.05", 0.05),
+            ("h", "0.004", 0.004),
+            ("dt", "0.1", 0.1),
+            ("T", "2", 2.0),
+            ("tau", "1.5", 1.5),
+            ("t_e", "2.5", 2.5),
+            ("lam", "2", 2.0),
+            ("control_count", "7", 7),
+            ("stop_tol", "1e-5", 1e-5),
+            ("max_iters", "50", 50),
+            ("margin", "0.25", 0.25),
+            ("clamp_policy", "reject", "reject"),
+            ("guess_step", "0.01", 0.01),
+        ],
+    )
+    def test_each_flag_sets_its_field(self, monkeypatch, name, text, value):
+        # --name, with "-" for "_", parsed by the field's type
+        parsed = []
+        monkeypatch.setitem(cli._COMMANDS, "report", parsed.append)
+        assert cli.main(["report", "--" + name.replace("_", "-"), text]) == 0
+        (cfg,) = parsed
+        assert cfg == cli.load_config(None, {name: value})
+        assert type(getattr(cfg, name)) is type(value)
+
+    @pytest.mark.parametrize(
+        "extra, message", [({"N": 3}, "need N >= 4 cells"), ({"y0": [1.0, 2.0]}, "y0 must have")]
+    )
+    def test_snapshots_refused_system_writes_nothing(self, tmp_path, capsys, extra, message):
+        out = tmp_path / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"test": "test1", **extra}))
+        assert cli.main(["snapshots", "--config", str(path), "--outdir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_beyond_the_cache_budget_is_refused_before_any_arrival(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # cache_budget // (control_count * (r + 1)) = 2 nodes: the grid is
+        # refused when it is built, before ensure_invariant_grid computes an
+        # arrival (every arrival is one rhs_batch row)
+        path = tmp_path / "cfg.json"
+        # 5 controls at r = 2: 15 cache entries per node
+        config = tiny_config(tmp_path / "out", cache_budget=44)
+        path.write_text(json.dumps(dataclasses.asdict(config)))
+        assert cli.main(["snapshots", "--config", str(path)]) == 0
+        rows, at_grid = [], []
+        rhs_batch = cli.reduced.ReducedSystem.rhs_batch
+        real = cli.ensure_invariant_grid
+
+        def counting(self, Yr, u):
+            rows.append(len(Yr))
+            return rhs_batch(self, Yr, u)
+
+        def ensure_invariant_grid(*args, **kwargs):
+            at_grid.append(sum(rows))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.reduced.ReducedSystem, "rhs_batch", counting)
+        monkeypatch.setattr(cli, "ensure_invariant_grid", ensure_invariant_grid)
+        capsys.readouterr()
+        assert cli.main(["solve", "--config", str(path)]) == 2
+        assert "exceeding the budget of 2 nodes" in capsys.readouterr().err
+        # the box growth ran, and nothing after it
+        assert at_grid == [sum(rows)] and sum(rows) > 0
+        assert not (tmp_path / "out" / "solve_r2.npz").exists()
 
     def test_report_on_missing_directory(self, tmp_path):
         out = tmp_path / "absent"
