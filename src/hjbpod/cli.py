@@ -3,7 +3,7 @@
 Each stage writes its artifacts (npz bundles for downstream stages, CSV and
 JSON for external consumption) into the run directory together with the
 fully resolved configuration, so any figure can be regenerated from the
-CSVs alone.  Exit codes: 0 success, 2 validation error, 3 numerical
+CSVs and npz files.  Exit codes: 0 success, 2 validation error, 3 numerical
 failure.
 """
 
@@ -218,10 +218,8 @@ def _json_default(obj):
 
 _CSV_SCHEMAS = {
     "spectrum.csv": "k, lambda_k (correlation eigenvalues, descending)",
-    "solution_r{r}.csv": "i_1..i_r (lattice index), x_1..x_r (node coords), value, control",
     "trajectory_*.csv": "t, y_1..y_n, u",
     "control_error_r{r}.csv": "t, u_hjb, u_lqr, relative_error",
-    "state_diff_r{r}.csv": "t, dy_1..dy_n (HJB minus LQR state)",
 }
 
 
@@ -422,18 +420,6 @@ def cmd_solve(cfg: RunConfig) -> Path:
         vf.converged,
     )
 
-    nodes = grid.all_nodes()
-    lattice = np.stack(
-        np.unravel_index(np.arange(grid.node_count), grid.node_shape), axis=1
-    ).astype(float)
-    idx_headers = [f"i_{a}" for a in range(1, grid.r + 1)]
-    x_headers = [f"x_{a}" for a in range(1, grid.r + 1)]
-    cols = [lattice[:, a] for a in range(grid.r)] + [nodes[:, a] for a in range(grid.r)]
-    write_csv(
-        out / f"solution_r{cfg.r}.csv",
-        idx_headers + x_headers + ["value", "control"],
-        cols + [vf.values, table.controls],
-    )
     np.savez_compressed(
         out / f"solve_r{cfg.r}.npz",
         values=vf.values,
@@ -451,7 +437,6 @@ def cmd_solve(cfg: RunConfig) -> Path:
         "eigval_tail": basis.tail(cfg.r),
         "sha256": _basis_hash(basis),
     }
-    meta["control_set"] = controls.values
     meta["iteration"] = {
         "iterations": vf.iterations,
         "final_residual": vf.final_residual,
@@ -578,8 +563,7 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
     hjb_path = out / f"trajectory_hjb_r{cfg.r}.csv"
     if not (hjb_path.exists() and _simulated_with(out / f"simulate_r{cfg.r}.json", cfg)):
         cmd_simulate(cfg)
-    data = np.loadtxt(hjb_path, delimiter=",", skiprows=1)
-    t_hjb, states_hjb, u_hjb = data[:, 0], data[:, 1:-1], data[:, -1]
+    t_hjb, u_hjb = np.loadtxt(hjb_path, delimiter=",", skiprows=1, usecols=(0, -1), unpack=True)
 
     care = _care_for(out, cfg, lq_data)
     y0 = cfg.initial_state(sys_obj)
@@ -591,12 +575,6 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
         out / f"control_error_r{cfg.r}.csv",
         ["t", "u_hjb", "u_lqr", "relative_error"],
         [comp.times, u_hjb, traj_lqr.controls, comp.relative_error],
-    )
-    diff = states_hjb - traj_lqr.states
-    write_csv(
-        out / f"state_diff_r{cfg.r}.csv",
-        ["t"] + [f"dy_{j}" for j in range(1, diff.shape[1] + 1)],
-        [t_hjb] + [diff[:, j] for j in range(diff.shape[1])],
     )
 
     summary_path = out / "lqr_summary.json"

@@ -167,7 +167,8 @@ def ensure_invariant_grid(
     Verifies every node/control arrival point and pushes violated faces
     outward in whole-edge steps (preserving lattice alignment) until the
     check is clean.  Intended to run after :func:`reduced.grow_to_invariant`
-    so only residual face-sampling slack remains to absorb.
+    so only residual face-sampling slack remains to absorb.  A NaN or
+    infinite arrival raises :class:`NumericalError`.
     """
     if h <= 0:
         raise ValidationError("step h must be positive")

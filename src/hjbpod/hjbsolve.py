@@ -137,7 +137,8 @@ def build_arrival_cache(
 
     Arrival points leaving the box are clamped (policy "clamp") or cause a
     failure (policy "reject"); displacement statistics are recorded either
-    way so domain-invariance violations are always visible.
+    way so domain-invariance violations are always visible.  A NaN or
+    infinite arrival raises :class:`NumericalError` under either policy.
     """
     if h <= 0:
         raise ValidationError("scheme step h must be positive")

@@ -314,7 +314,8 @@ def clipped_arrivals(
 
     Controls are taken in order, nodes in blocks of at most ``chunk`` rows;
     ``visit(l, rows, clipped)`` (if given) receives each control index, the
-    slice of node rows and their clipped arrivals.  Returns the invariance
+    slice of node rows and their clipped arrivals.  A block with a NaN or
+    infinite arrival raises :class:`NumericalError`.  Returns the invariance
     report of all pairs and, per axis, the farthest an arrival fell below
     the lower face and rose above the upper face (zero where none did).
     """
@@ -332,6 +333,12 @@ def clipped_arrivals(
             rows = slice(start, min(start + chunk, nodes.shape[0]))
             block = nodes[rows]
             arrivals = block + h * rs.rhs_batch(block, float(u))
+            if not np.isfinite(arrivals).all():
+                bad = np.count_nonzero(~np.isfinite(arrivals).all(axis=1))
+                raise NumericalError(
+                    f"{bad} of {block.shape[0]} arrival points under control u={float(u):g} "
+                    "are not finite: the reduced dynamics returned NaN or inf"
+                )
             clipped = box.clip(arrivals)
             shift = clipped - arrivals
             disp = np.abs(shift) / width

@@ -1,3 +1,7 @@
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +13,26 @@ from hjbpod.reduced import Hyperbox, ReducedSystem
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture(scope="session")
+def compare_runs():
+    """``tools/compare_runs.py`` as a module, with ``tools/`` on ``sys.path``
+    only while it imports; afterwards the path and the module cache are as
+    they were, so no other test sees the name."""
+    tools = str(Path(__file__).resolve().parent.parent / "tools")
+    saved = sys.modules.pop("compare_runs", None)
+    sys.path.insert(0, tools)
+    try:
+        module = importlib.import_module("compare_runs")
+    finally:
+        sys.path.remove(tools)
+    try:
+        yield module
+    finally:
+        sys.modules.pop("compare_runs", None)
+        if saved is not None:
+            sys.modules["compare_runs"] = saved
 
 
 def make_scalar_integrator_system():

@@ -160,7 +160,7 @@ class TestPipeline:
             "snapshots.npz",
             "basis.npz",
             "spectrum.csv",
-            "solution_r2.csv",
+            "solve_r2.npz",
             "meta_r2.json",
             "trajectory_hjb_r2.csv",
             "trajectory_unc.csv",
@@ -176,22 +176,6 @@ class TestPipeline:
         assert meta["invariance"]["violations"] == 0
         assert meta["basis"]["eigval_tail"] >= 0.0
         assert meta["config"]["h"] == pytest.approx(0.025)
-
-    def test_value_csv_shape(self, run_dir):
-        out, _ = run_dir
-        with open(out / "meta_r2.json") as fh:
-            meta = json.load(fh)
-        data = np.loadtxt(out / "solution_r2.csv", delimiter=",", skiprows=1)
-        assert data.shape == (meta["grid"]["node_count"], 2 * 2 + 2)
-        header = (out / "solution_r2.csv").read_text().splitlines()[0]
-        assert header == "i_1,i_2,x_1,x_2,value,control"
-
-    def test_csv_matches_npz(self, run_dir):
-        out, _ = run_dir
-        solution = np.loadtxt(out / "solution_r2.csv", delimiter=",", skiprows=1)
-        with np.load(out / "solve_r2.npz") as data:
-            np.testing.assert_array_equal(solution[:, -2], data["values"])
-            np.testing.assert_array_equal(solution[:, -1], data["controls"])
 
     def test_npz_keeps_the_iteration_histories(self, tmp_path, monkeypatch):
         solved, solve = [], hjbsolve.value_iteration
@@ -245,25 +229,16 @@ class TestPipeline:
             cli.cmd_solve(cfg_bad)
 
 
-def test_byte_identical_reproducibility(tmp_path):
+def test_byte_identical_reproducibility(tmp_path, compare_runs):
+    # identical numbers in every artifact; the JSON files differ only in
+    # the comparator's volatile keys (time stamps, timings, the outdir)
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
         cfg = tiny_config(out)
         cli.cmd_snapshots(cfg)
         cli.cmd_solve(cfg)
-    for name in ("solution_r2.csv", "spectrum.csv"):
-        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-    # meta differs only in the generated_at stamp
-    with open(out_a / "meta_r2.json") as fh:
-        meta_a = json.load(fh)
-    with open(out_b / "meta_r2.json") as fh:
-        meta_b = json.load(fh)
-    meta_a.pop("generated_at")
-    meta_b.pop("generated_at")
-    meta_a["timings"] = meta_b["timings"] = None
-    meta_a["config"]["outdir"] = meta_b["config"]["outdir"] = None
-    assert meta_a == meta_b
+    assert compare_runs.compare_runs(out_a, out_b) == {}
 
 
 def make_custom_system(config):
@@ -286,6 +261,27 @@ def make_custom_system(config):
         structure=hp.SystemStructure(
             linear=A, control_gain=b, nonlinearity=None, quadratic_cost_control_weight=0.01
         ),
+    )
+
+
+def make_nan_system(config):
+    """``make_custom_system`` with a rhs that is NaN wherever some |y_i| > 1.
+
+    Its snapshot trajectories keep every |y_i| <= 1, where the rhs is finite;
+    corners of the grid box around them lift beyond it."""
+    import dataclasses
+
+    import numpy as np
+
+    system = make_custom_system(config)
+
+    def rhs_batch(Y, u):
+        F = system.rhs_batch(Y, u)
+        F[np.abs(Y).max(axis=1) > 1.0] = np.nan
+        return F
+
+    return dataclasses.replace(
+        system, rhs=lambda y, u: rhs_batch(y[None], u)[0], rhs_batch=rhs_batch, structure=None
     )
 
 
@@ -328,7 +324,7 @@ def test_custom_system_pipeline(tmp_path):
     cli.cmd_snapshots(cfg)
     cli.cmd_solve(cfg)
     cli.cmd_simulate(cfg)
-    assert (tmp_path / "solution_r2.csv").exists()
+    assert (tmp_path / "solve_r2.npz").exists()
     with open(tmp_path / "simulate_r2.json") as fh:
         sim = json.load(fh)
     assert sim["costs"]["hjb"] <= sim["costs"]["uncontrolled"] + 1e-12
@@ -362,7 +358,8 @@ def test_compare_lqr_small_test2(tmp_path):
     cli.cmd_solve(cfg)
     cli.cmd_compare_lqr(cfg)
     assert (tmp_path / "control_error_r2.csv").exists()
-    assert (tmp_path / "state_diff_r2.csv").exists()
+    # the state difference is trajectory_hjb_r2.csv minus trajectory_lqr.csv
+    assert not (tmp_path / "state_diff_r2.csv").exists()
     with open(tmp_path / "lqr_summary.json") as fh:
         summary = json.load(fh)
     entry = summary["r2"]
@@ -370,6 +367,33 @@ def test_compare_lqr_small_test2(tmp_path):
     assert np.isfinite(entry["median_relative_error"])
     data = np.loadtxt(tmp_path / "control_error_r2.csv", delimiter=",", skiprows=1)
     assert data.shape[1] == 4
+
+
+def test_a_run_writes_each_result_once(tmp_path):
+    # the run directory holds exactly the documented files: the solved table
+    # only in solve_r2.npz, and no state difference (trajectory_hjb_r2.csv
+    # minus trajectory_lqr.csv)
+    cfg = small_test2_config(tmp_path)
+    for command in (cli.cmd_snapshots, cli.cmd_solve, cli.cmd_simulate, cli.cmd_compare_lqr):
+        command(cfg)
+    assert {p.name for p in tmp_path.iterdir()} == {
+        "snapshots.npz", "basis.npz", "snapshots_meta.json", "spectrum.csv",
+        "solve_r2.npz", "meta_r2.json",
+        "trajectory_hjb_r2.csv", "trajectory_unc.csv", "simulate_r2.json",
+        "care.npz", "trajectory_lqr.csv", "control_error_r2.csv", "lqr_summary.json",
+    }
+    meta = json.loads((tmp_path / "meta_r2.json").read_text())
+    assert "control_set" not in meta
+    assert set(meta["csv_schemas"]) == {
+        "spectrum.csv", "trajectory_*.csv", "control_error_r{r}.csv"
+    }
+    # the README's recipe for node i's lattice index and coordinates
+    grid = meta["grid"]
+    index = np.stack(
+        np.unravel_index(np.arange(grid["node_count"]), np.add(grid["cells_per_axis"], 1)), axis=1
+    )
+    nodes = cli._grid_from_payload(grid).all_nodes()
+    np.testing.assert_array_equal(grid["lower"] + index * np.array(grid["edge"]), nodes)
 
 
 def test_compare_lqr_resimulates_under_its_own_config(tmp_path):
@@ -608,6 +632,23 @@ class TestMainEntry:
         assert at_grid == [sum(rows)] and sum(rows) > 0
         assert not (tmp_path / "out" / "solve_r2.npz").exists()
 
+    def test_non_finite_arrivals_exit_3_and_write_no_table(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        config = dict(
+            test="custom", factory="test_cli:make_nan_system", N=4, y0=[1.0, 0.5, -0.25],
+            dt=0.25, T=1.0, r=2, k_r=0.4, t_e=1.0, control_count=3, stop_tol=1e-4,
+            rel_tol=1e-10, abs_tol=1e-10, outdir=str(out),
+        )
+        path.write_text(json.dumps(config))
+        assert cli.main(["snapshots", "--config", str(path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["solve", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "under control u=-1 are not finite" in err
+        assert not (out / "solve_r2.npz").exists()
+        assert not (out / "meta_r2.json").exists()
+
     def test_report_on_missing_directory(self, tmp_path):
         out = tmp_path / "absent"
         assert cli.main(["report", "--outdir", str(out)]) == 2
@@ -621,7 +662,7 @@ class TestMainEntry:
         with pytest.raises(ValidationError, match="basis.npz .run 'snapshots' first"):
             cli.cmd_solve(cfg)
         assert not (tmp_path / "basis.npz").exists()
-        assert not (tmp_path / "solution_r2.csv").exists()
+        assert not (tmp_path / "solve_r2.npz").exists()
 
     def test_simulate_without_solve_fails(self, tmp_path):
         cfg = tiny_config(tmp_path)

@@ -3,7 +3,8 @@ import pytest
 
 import hjbpod as hp
 from hjbpod import reduced
-from hjbpod.errors import ValidationError
+from hjbpod.errors import NumericalError, ValidationError
+from hjbpod.hjbgrid import aligned_grid, ensure_invariant_grid
 from hjbpod.reduced import Hyperbox, ReducedSystem, clipped_arrivals, grow_to_invariant
 
 from conftest import make_scalar_integrator_system, random_snapshot_set
@@ -229,6 +230,44 @@ class TestCheckInvariance:
             (0, slice(0, 1), [0.0]), (0, slice(1, 2), [0.5]),
             (1, slice(0, 1), [1.0]), (1, slice(1, 2), [1.0]),
         ]
+
+
+class TestNonFiniteArrivals:
+    """A rhs that is NaN or inf on part of the box fails loudly in every
+    function that computes arrivals, under the control that met it."""
+
+    @staticmethod
+    def reduced_system(bad):
+        def rhs_batch(Y, u):
+            Y = np.asarray(Y, dtype=float)
+            return np.where(np.abs(Y) > 0.9, bad, u - Y)
+
+        sys_b = hp.ControlledSystem(
+            n=1, rhs=lambda y, u: rhs_batch(y[None], u)[0],
+            running_cost=lambda y, u: float(y[0] ** 2), weight=np.ones(1),
+            control_box=(-1.0, 1.0), label="blow-up", rhs_batch=rhs_batch,
+        )
+        return ReducedSystem(hp.identity_basis(np.ones(1)), sys_b, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "compute", ["clipped_arrivals", "ensure_invariant_grid", "build_arrival_cache"]
+    )
+    def test_raises_numerical_error(self, bad, compute):
+        rs = self.reduced_system(bad)
+        box = Hyperbox(np.array([-1.0]), np.array([1.0]))
+        controls = [-1.0, 0.0, 1.0]
+        # 21 nodes; the 3 with |y| > 0.9 have non-finite arrivals
+        grid = aligned_grid(box, 0.1)
+        call = {
+            "clipped_arrivals": lambda: clipped_arrivals(rs, box, grid.all_nodes(), controls, 0.1),
+            "ensure_invariant_grid": lambda: ensure_invariant_grid(rs, box, controls, 0.1, 0.1),
+            "build_arrival_cache": lambda: hp.build_arrival_cache(
+                grid, rs, hp.ControlSet(np.array(controls)), 0.1
+            ),
+        }[compute]
+        with pytest.raises(NumericalError, match="^3 of 21 arrival points under control u=-1 "):
+            call()
 
 
 class TestProjectionNormChain:
