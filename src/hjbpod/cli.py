@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, hjbsolve, lqr, pod, reduced
+from . import dynamics, hjbgrid, hjbsolve, lqr, pod, reduced
 from .errors import HjbPodError, NumericalError, ValidationError
 from .hjbgrid import SimplexGrid, aligned_grid, ensure_invariant_grid, grid_from_edge
 from .reduced import Hyperbox
@@ -77,8 +77,8 @@ class RunConfig:
     every value's range, so every field holds the value the run uses and a
     bad value raises a ValidationError naming its key before any command
     reads or writes.  Values from a config file and from flags pass the
-    same checks.  The solve's size is limited by ``cache_budget`` alone:
-    the grid may have ``cache_budget // (control_count * (r + 1))`` nodes.
+    same checks.  The solve's size is limited by ``cache_budget`` alone, the
+    entries of the arrival cache (:func:`hjbgrid.check_cache_size`).
     """
 
     test: str = "test1"
@@ -102,7 +102,7 @@ class RunConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
     guess_step: float | None = None  # default: h
-    cache_budget: int = 200_000_000
+    cache_budget: int = hjbgrid.ENTRY_BUDGET
     outdir: str = "runs"
     factory: str | None = None
     control_box: tuple | None = None  # test2 override
@@ -128,6 +128,8 @@ class RunConfig:
         ):
             if getattr(self, key) <= 0:
                 raise ValidationError(f"{key} must be positive")
+        if self.cache_budget > hjbgrid.MAX_ENTRY_BUDGET:
+            raise ValidationError(f"cache_budget must be at most {hjbgrid.MAX_ENTRY_BUDGET}")
         if self.margin < 0:
             raise ValidationError("margin must be nonnegative")
         if not self.snapshot_controls:
@@ -250,8 +252,7 @@ def _grid_payload(grid: SimplexGrid) -> dict:
 
 def _grid_from_payload(payload: dict) -> SimplexGrid:
     box = Hyperbox(np.array(payload["lower"]), np.array(payload["upper"]))
-    # the stored grid already met its budget when it was solved
-    return grid_from_edge(box, np.array(payload["edge"]), node_budget=payload["node_count"])
+    return grid_from_edge(box, np.array(payload["edge"]))
 
 
 # The config keys that fix the controlled system.  An artifact written for
@@ -371,21 +372,13 @@ def cmd_solve(cfg: RunConfig) -> Path:
     rs = reduced.ReducedSystem(basis, sys_obj, cfg.r)
     box = reduced.build_domain(basis, snap, cfg.r, margin=cfg.margin)
     control_values = np.linspace(*sys_obj.control_box, cfg.control_count)
-    # the most nodes whose arrival cache fits in cache_budget entries, so that
-    # a grid too large for the cache is refused before its arrivals are computed
-    node_budget = cfg.cache_budget // (cfg.control_count * (cfg.r + 1))
-    try:
-        if cfg.ensure_invariance:
-            box = reduced.grow_to_invariant(rs, box, sys_obj.control_box)
-            grid = ensure_invariant_grid(
-                rs, box, control_values, cfg.k_r, cfg.h, node_budget=node_budget
-            )
-        else:
-            grid = aligned_grid(box, cfg.k_r, node_budget=node_budget)
-    except ValidationError as exc:
-        raise ValidationError(
-            f"{exc} nodes, the most whose arrival cache fits in cache_budget={cfg.cache_budget}"
-        ) from exc
+    if cfg.ensure_invariance:
+        box = reduced.grow_to_invariant(rs, box, sys_obj.control_box)
+        grid = ensure_invariant_grid(
+            rs, box, control_values, cfg.k_r, cfg.h, entry_budget=cfg.cache_budget
+        )
+    else:
+        grid = aligned_grid(box, cfg.k_r)
     timings["setup_s"] = time.perf_counter() - t0
     logger.info(
         "grid: %s cells, %d nodes, k_r=%.4g",
@@ -605,9 +598,10 @@ def cmd_compare_lqr(cfg: RunConfig) -> Path:
 
 
 def cmd_report(cfg: RunConfig) -> Path:
-    """Summarize the artifacts of a run directory."""
+    """Summarize the artifacts of a run directory in ``report.txt``, which
+    does not name the directory, so equal runs write equal reports."""
     out = _existing(Path(cfg.outdir), "snapshots")
-    lines = [f"run directory: {out}"]
+    lines = []
     for meta_path in sorted(out.glob("meta_r*.json")):
         with open(meta_path) as fh:
             meta = json.load(fh)
@@ -646,7 +640,7 @@ def cmd_report(cfg: RunConfig) -> Path:
                         "measured against an inadmissible reference"
                     )
     report = "\n".join(lines)
-    print(report)
+    print(f"run directory: {out}\n{report}")
     (out / "report.txt").write_text(report + "\n")
     return out
 

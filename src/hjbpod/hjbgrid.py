@@ -18,6 +18,7 @@ the interpolant's gradient, which gives LSODA the closed-loop Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,10 @@ Array = np.ndarray
 
 # Face-pushing rounds of ensure_invariant_grid before it gives up.
 _INVARIANCE_ROUNDS = 30
+
+# Default and ceiling (the sweep's CSR row pointer is int32) of the entry budget.
+ENTRY_BUDGET = 200_000_000
+MAX_ENTRY_BUDGET = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -77,42 +82,61 @@ class SimplexGrid:
         return self.box.lower + idx * self.edge
 
 
-def grid_from_edge(box: Hyperbox, edge: Array, node_budget: int = 5_000_000) -> SimplexGrid:
+def grid_from_edge(box: Hyperbox, edge: Array) -> SimplexGrid:
     """Lattice of the given cell edge over a box whose widths are whole multiples of it.
 
-    Raises :class:`ValidationError` if the lattice has more than
-    ``node_budget`` nodes.
+    Allocates nothing per node; :func:`check_cache_size` limits the size.  A
+    cell count per axis that is not finite or not below 2**53 raises
+    :class:`ValidationError`.
     """
-    cells = np.round(box.width / edge).astype(np.int64)
-    node_count = int(np.prod(cells + 1))
-    if node_count > node_budget:
-        raise ValidationError(
-            f"grid would need {node_count} nodes, exceeding the budget of {node_budget}"
-        )
+    cells = _cell_counts(np.round(box.width / edge), "edge", edge)
     return SimplexGrid(
         box=box,
         cells_per_axis=cells,
         edge=edge,
-        node_count=node_count,
+        node_count=math.prod(int(c) + 1 for c in cells),
         k_r=float(np.sqrt(np.dot(edge, edge))),
     )
 
 
-def build_grid(
-    box: Hyperbox, target_diameter: float, node_budget: int = 5_000_000
-) -> SimplexGrid:
+def _cell_counts(counts: Array, what: str, value) -> Array:
+    """Cell counts per axis as int64, refused unless finite and below 2**53."""
+    if not np.all(counts < 2**53):  # NaN compares false
+        raise ValidationError(f"{what} {value} needs {counts} cells per axis (limit 2**53)")
+    return counts.astype(np.int64)
+
+
+def check_cache_size(grid: SimplexGrid, control_count: int, entry_budget: int) -> int:
+    """Entries ``node_count * control_count * (r + 1)`` of the grid's arrival cache,
+    counted exactly: the one size limit of a solve.  A ValidationError if the
+    budget exceeds the int32 range or the entries exceed the budget."""
+    if entry_budget > MAX_ENTRY_BUDGET:
+        raise ValidationError(f"cache entry budget {entry_budget} exceeds the int32 range")
+    entries = grid.node_count * int(control_count) * (grid.r + 1)
+    if entries > entry_budget:
+        raise ValidationError(
+            f"arrival cache needs {entries} entries, exceeding budget {entry_budget}"
+        )
+    return entries
+
+
+def build_grid(box: Hyperbox, target_diameter: float) -> SimplexGrid:
     """Choose per-axis cell counts so the cell diagonal meets the target.
 
     Starts from the equal-edge allocation (edge = target/sqrt(r) on every
     axis, the continuous optimum) and greedily removes cells axis by axis
     while the diagonal constraint remains satisfied, which minimizes the
-    node count over axis-uniform refinements up to integer effects.
+    node count over axis-uniform refinements up to integer effects.  A
+    cell count per axis that is not finite or not below 2**53 raises
+    :class:`ValidationError`.
     """
     if target_diameter <= 0:
         raise ValidationError("target_diameter must be positive")
     width = box.width
     r = box.r
-    counts = np.maximum(1, np.ceil(width * np.sqrt(r) / target_diameter)).astype(np.int64)
+    with np.errstate(over="ignore"):
+        counts = np.maximum(1, np.ceil(width * np.sqrt(r) / target_diameter))
+    counts = _cell_counts(counts, "target diameter", target_diameter)
 
     def diag_sq(c):
         e = width / c
@@ -133,12 +157,10 @@ def build_grid(
             counts[i] += 1
         if best_axis < 0:
             break
-    return grid_from_edge(box, width / counts, node_budget)
+    return grid_from_edge(box, width / counts)
 
 
-def aligned_grid(
-    box: Hyperbox, target_diameter: float, node_budget: int = 5_000_000
-) -> SimplexGrid:
+def aligned_grid(box: Hyperbox, target_diameter: float) -> SimplexGrid:
     """Like :func:`build_grid`, but faces snap outward onto the edge lattice
     through the origin.
 
@@ -147,11 +169,11 @@ def aligned_grid(
     the target state is then a nodal value instead of a mixture of
     neighboring cells.
     """
-    edge = build_grid(box, target_diameter, node_budget).edge
+    edge = build_grid(box, target_diameter).edge
     # adding 0.0 turns a face at -0.0 into +0.0
     lower = 0.0 + np.floor(box.lower / edge + 1e-9) * edge
     upper = 0.0 + np.ceil(box.upper / edge - 1e-9) * edge
-    return grid_from_edge(Hyperbox(lower, upper), edge, node_budget)
+    return grid_from_edge(Hyperbox(lower, upper), edge)
 
 
 def ensure_invariant_grid(
@@ -160,21 +182,23 @@ def ensure_invariant_grid(
     controls,
     target_diameter: float,
     h: float,
-    node_budget: int = 5_000_000,
+    entry_budget: int = ENTRY_BUDGET,
 ) -> SimplexGrid:
     """Aligned grid whose box the discrete dynamics provably do not leave.
 
     Verifies every node/control arrival point and pushes violated faces
     outward in whole-edge steps (preserving lattice alignment) until the
     check is clean.  Intended to run after :func:`reduced.grow_to_invariant`
-    so only residual face-sampling slack remains to absorb.  A NaN or
-    infinite arrival raises :class:`NumericalError`.
+    so only residual face-sampling slack remains to absorb.  Each round
+    checks the grid with :func:`check_cache_size` before it computes an
+    arrival.  A NaN or infinite arrival raises :class:`NumericalError`.
     """
     if h <= 0:
         raise ValidationError("step h must be positive")
-    grid = aligned_grid(box, target_diameter, node_budget)
+    grid = aligned_grid(box, target_diameter)
     controls = np.asarray(list(controls), dtype=float)
     for _ in range(_INVARIANCE_ROUNDS):
+        check_cache_size(grid, controls.size, entry_budget)
         _, lo_exc, hi_exc = clipped_arrivals(rs, grid.box, grid.all_nodes(), controls, h)
         if not (np.any(lo_exc > 0) or np.any(hi_exc > 0)):
             return grid
@@ -186,7 +210,7 @@ def ensure_invariant_grid(
 
         lower = grid.box.lower - edge_steps(lo_exc) * grid.edge
         upper = grid.box.upper + edge_steps(hi_exc) * grid.edge
-        grid = grid_from_edge(Hyperbox(lower, upper), grid.edge, node_budget)
+        grid = grid_from_edge(Hyperbox(lower, upper), grid.edge)
     raise NumericalError(
         "could not reach an invariant grid box; the dynamics keep escaping "
         "(consider clamp mode instead)"

@@ -27,7 +27,8 @@ import numpy as np
 from . import _accel
 from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
 from .errors import NumericalError, ValidationError
-from .hjbgrid import SimplexGrid, interpolate, interpolate_gradient, stencil_batch
+from .hjbgrid import ENTRY_BUDGET, SimplexGrid, check_cache_size, interpolate
+from .hjbgrid import interpolate_gradient, stencil_batch
 from .pod import PODBasis, _check_rank
 from .reduced import InvarianceReport, ReducedSystem, clipped_arrivals
 
@@ -131,7 +132,7 @@ def build_arrival_cache(
     controls: ControlSet,
     h: float,
     clamp_policy: str = "clamp",
-    entry_budget: int = 200_000_000,
+    entry_budget: int = ENTRY_BUDGET,
 ) -> ArrivalCache:
     """Evaluate f_r once per (node, control) and freeze stencils and costs.
 
@@ -139,27 +140,21 @@ def build_arrival_cache(
     failure (policy "reject"); displacement statistics are recorded either
     way so domain-invariance violations are always visible.  A NaN or
     infinite arrival raises :class:`NumericalError` under either policy.
+    A cache of more than ``entry_budget`` entries is refused
+    (:func:`hjbgrid.check_cache_size`) before any arrival is computed.
     """
     if h <= 0:
         raise ValidationError("scheme step h must be positive")
     if clamp_policy not in ("clamp", "reject"):
         raise ValidationError(f"unknown clamp policy {clamp_policy!r}")
-    if entry_budget > np.iinfo(np.int32).max:
-        # the sweep addresses the cache through an int32 CSR row pointer
-        raise ValidationError(f"cache entry budget {entry_budget} exceeds the int32 range")
     lo, hi = rs.full.control_box
     vals = controls.values
     if vals[0] < lo - 1e-12 or vals[-1] > hi + 1e-12:
         raise ValidationError("control set exceeds the admissible control box")
 
+    check_cache_size(grid, vals.size, entry_budget)
     nc = grid.node_count
     nu = vals.size
-    entries = nc * nu * (grid.r + 1)
-    if entries > entry_budget:
-        raise ValidationError(
-            f"arrival cache needs {entries} entries, exceeding budget {entry_budget}"
-        )
-
     nodes = grid.all_nodes()
     # control-major storage: control l's block of nodes is contiguous
     indices = np.empty((nu, nc, grid.r + 1), dtype=np.int32)

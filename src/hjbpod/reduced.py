@@ -166,7 +166,9 @@ class ReducedSystem:
             F = np.empty_like(Y)
             for i in range(Y.shape[0]):
                 F[i] = self.full.rhs(Y[i], u)
-        return F @ self.phi_w.T
+        # an inf times a zero basis entry is NaN; callers report non-finite rows
+        with np.errstate(invalid="ignore"):
+            return F @ self.phi_w.T
 
     def cost_batch(self, Yr: Array, u: float) -> Array:
         Yr = np.asarray(Yr, dtype=float)
@@ -225,9 +227,21 @@ def _outermost_root(rs: ReducedSystem, pts: Array, axis: int, u: float, sign: fl
     For points with outward flow (sign * f_axis > 0), brackets the component
     along the axis direction and bisects; returns the farthest root in the
     outward direction (face-local coordinate), or the start value if the
-    flow already points inward everywhere.
+    flow already points inward everywhere.  A NaN or infinite component on
+    the face or while bracketing raises :class:`NumericalError`.
     """
-    f = rs.rhs_batch(pts, u)[:, axis] * sign
+
+    def normal_component(pts):
+        # sign * f_axis; a NaN would compare as inward flow
+        f = rs.rhs_batch(pts, u)[:, axis] * sign
+        if not np.isfinite(f).all():
+            raise NumericalError(
+                f"the reduced vector field's axis-{axis} component is NaN or inf at or beyond "
+                f"the {'upper' if sign > 0 else 'lower'} face under control u={u:g}"
+            )
+        return f
+
+    f = normal_component(pts)
     active = f > 0.0
     if not np.any(active):
         return float(pts[0, axis])
@@ -239,7 +253,7 @@ def _outermost_root(rs: ReducedSystem, pts: Array, axis: int, u: float, sign: fl
     hi = lo + sign * step
     for _ in range(60):
         pts[:, axis] = hi
-        f = rs.rhs_batch(pts, u)[:, axis] * sign
+        f = normal_component(pts)
         out = f > 0.0
         if not np.any(out):
             break

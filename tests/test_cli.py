@@ -1,6 +1,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +121,7 @@ class TestConfig:
             ("control_box", [-2.2, 0.0, 1.0], "control_box must be two numbers"),
             ("test", "bogus", "test must be one of ('test1', 'test2', 'custom')"),
             ("clamp_policy", "bogus", "clamp_policy must be one of ('clamp', 'reject')"),
+            ("cache_budget", 2**31, "cache_budget must be at most 2147483647"),
         ],
     )
     def test_out_of_range_value_exits_2_before_any_work(
@@ -231,14 +236,56 @@ class TestPipeline:
 
 def test_byte_identical_reproducibility(tmp_path, compare_runs):
     # identical numbers in every artifact; the JSON files differ only in
-    # the comparator's volatile keys (time stamps, timings, the outdir)
+    # the comparator's volatile keys (time stamps, timings, the outdir), and
+    # report.txt, which does not name its directory, byte for byte
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     for out in (out_a, out_b):
         cfg = tiny_config(out)
         cli.cmd_snapshots(cfg)
         cli.cmd_solve(cfg)
+        cli.cmd_report(cfg)
+    assert (out_a / "report.txt").exists()
     assert compare_runs.compare_runs(out_a, out_b) == {}
+
+
+# Tolerance of the 1-versus-2 BLAS thread comparison.  Measured on a 2-core
+# host (OpenBLAS 0.3.31): the two runs agree bit for bit.  Other BLAS kernels
+# (OPENBLAS_CORETYPE=Prescott or Sandybridge, at one thread) move the
+# basis's trailing modes by up to 6.1e-10 and every other number by at most
+# 1.6e-13; atol leaves a margin of 16 over the larger.
+THREADS_ATOL = 1e-8
+
+
+def test_one_and_two_blas_threads_agree(tmp_path, compare_runs):
+    # snapshots -> solve -> simulate -> compare-lqr in a fresh process per
+    # thread count, since the BLAS reads the variables when it loads
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dataclasses.asdict(small_test2_config("unused"))))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    script = (
+        "import sys\nfrom hjbpod.cli import main\n"
+        "for command in ('snapshots', 'solve', 'simulate', 'compare-lqr'):\n"
+        "    assert main([command, '--config', sys.argv[1], '--outdir', sys.argv[2]]) == 0\n"
+    )
+    runs = []
+    for threads in ("1", "2"):
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        env.update(dict.fromkeys(cli._THREAD_VARIABLES, threads))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", script, str(path), str(out)], env=env, check=True)
+        # the runs record their thread variables, and the basis hash names
+        # the exact basis, whose numbers basis.npz holds
+        for name in ("snapshots_meta.json", "meta_r2.json", "simulate_r2.json"):
+            meta = json.loads((out / name).read_text())
+            assert meta.pop("thread_env") == dict.fromkeys(cli._THREAD_VARIABLES, threads)
+            meta.get("basis", {}).pop("sha256", None)
+            (out / name).write_text(json.dumps(meta))
+        runs.append(out)
+    assert compare_runs.compare_runs(*runs, atol=THREADS_ATOL) == {}
+    with np.load(runs[0] / "solve_r2.npz") as a, np.load(runs[1] / "solve_r2.npz") as b:
+        np.testing.assert_array_equal(a["controls"], b["controls"])
 
 
 def make_custom_system(config):
@@ -269,6 +316,15 @@ def make_nan_system(config):
 
     Its snapshot trajectories keep every |y_i| <= 1, where the rhs is finite;
     corners of the grid box around them lift beyond it."""
+    return _non_finite_beyond_one(config, float("nan"))
+
+
+def make_inf_system(config):
+    """``make_nan_system`` with inf in place of NaN."""
+    return _non_finite_beyond_one(config, float("inf"))
+
+
+def _non_finite_beyond_one(config, bad):
     import dataclasses
 
     import numpy as np
@@ -277,7 +333,7 @@ def make_nan_system(config):
 
     def rhs_batch(Y, u):
         F = system.rhs_batch(Y, u)
-        F[np.abs(Y).max(axis=1) > 1.0] = np.nan
+        F[np.abs(Y).max(axis=1) > 1.0] = bad
         return F
 
     return dataclasses.replace(
@@ -603,9 +659,8 @@ class TestMainEntry:
     def test_grid_beyond_the_cache_budget_is_refused_before_any_arrival(
         self, tmp_path, capsys, monkeypatch
     ):
-        # cache_budget // (control_count * (r + 1)) = 2 nodes: the grid is
-        # refused when it is built, before ensure_invariant_grid computes an
-        # arrival (every arrival is one rhs_batch row)
+        # 24 nodes need 360 entries: ensure_invariant_grid refuses the grid
+        # before it computes an arrival (every arrival is one rhs_batch row)
         path = tmp_path / "cfg.json"
         # 5 controls at r = 2: 15 cache entries per node
         config = tiny_config(tmp_path / "out", cache_budget=44)
@@ -627,16 +682,20 @@ class TestMainEntry:
         monkeypatch.setattr(cli, "ensure_invariant_grid", ensure_invariant_grid)
         capsys.readouterr()
         assert cli.main(["solve", "--config", str(path)]) == 2
-        assert "exceeding the budget of 2 nodes" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == "validation error: arrival cache needs 360 entries, exceeding budget 44\n"
         # the box growth ran, and nothing after it
         assert at_grid == [sum(rows)] and sum(rows) > 0
         assert not (tmp_path / "out" / "solve_r2.npz").exists()
 
-    def test_non_finite_arrivals_exit_3_and_write_no_table(self, tmp_path, capsys):
+    @staticmethod
+    def solve_non_finite(tmp_path, capsys, factory):
+        """``snapshots`` then ``solve`` of a custom system from ``factory``,
+        whose rhs is not finite beyond the snapshots' reach: ``solve`` exits 3."""
         path = tmp_path / "cfg.json"
         out = tmp_path / "out"
         config = dict(
-            test="custom", factory="test_cli:make_nan_system", N=4, y0=[1.0, 0.5, -0.25],
+            test="custom", factory=factory, N=4, y0=[1.0, 0.5, -0.25],
             dt=0.25, T=1.0, r=2, k_r=0.4, t_e=1.0, control_count=3, stop_tol=1e-4,
             rel_tol=1e-10, abs_tol=1e-10, outdir=str(out),
         )
@@ -647,7 +706,56 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and "under control u=-1 are not finite" in err
         assert not (out / "solve_r2.npz").exists()
+        return out
+
+    def test_non_finite_arrivals_exit_3_and_write_no_table(self, tmp_path, capsys):
+        out = self.solve_non_finite(tmp_path, capsys, "test_cli:make_nan_system")
         assert not (out / "meta_r2.json").exists()
+
+    def test_infinite_rhs_exits_3_without_a_warning(self, tmp_path, capsys):
+        # an inf times a zero of the projection is NaN, and the matmul's
+        # RuntimeWarning would be an error under the suite's filterwarnings
+        self.solve_non_finite(tmp_path, capsys, "test_cli:make_inf_system")
+
+    @staticmethod
+    def solve_counting_arrivals(monkeypatch, capsys, argv):
+        """``solve`` with ``argv``: its exit code, its stderr and the rhs_batch
+        rows it computed (every arrival is one row)."""
+        rows = []
+        rhs_batch = cli.reduced.ReducedSystem.rhs_batch
+
+        def counting(self, Yr, u):
+            rows.append(len(Yr))
+            return rhs_batch(self, Yr, u)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.reduced.ReducedSystem, "rhs_batch", counting)
+            capsys.readouterr()
+            code = cli.main(["solve"] + argv)
+        return code, capsys.readouterr().err, sum(rows)
+
+    def test_oversized_clamped_solves_exit_2_before_any_arrival(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # default test 2 (clamped arrivals): at these k_r the node count
+        # overflowed int64 (1e-5), needed terabytes (1e-12) or came from
+        # cell counts cast to INT64_MIN (1e-20)
+        out = tmp_path / "out"
+        assert cli.main(["snapshots", "--test", "test2", "--outdir", str(out)]) == 0
+        for key, value, message in [
+            ("k_r", 1e-5, " entries, exceeding budget 200000000"),
+            ("k_r", 1e-12, " entries, exceeding budget 200000000"),
+            ("k_r", 1e-20, " cells per axis (limit 2**53)"),
+            ("cache_budget", 44, " entries, exceeding budget 44"),
+        ]:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"test": "test2", "outdir": str(out), key: value}))
+            code, err, rows = self.solve_counting_arrivals(
+                monkeypatch, capsys, ["--config", str(path)]
+            )
+            assert (code, rows) == (2, 0), (key, value)
+            assert err.startswith("validation error: ") and err.endswith(message + "\n"), err
+        assert not list(out.glob("solve_r*"))
 
     def test_report_on_missing_directory(self, tmp_path):
         out = tmp_path / "absent"

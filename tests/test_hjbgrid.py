@@ -1,11 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 import hjbpod as hp
 from hjbpod.errors import ValidationError
-from hjbpod.hjbgrid import aligned_grid, stencil_batch
+from hjbpod.hjbgrid import aligned_grid, check_cache_size, grid_from_edge, stencil_batch
 from hjbpod.reduced import Hyperbox
 
 from conftest import dyadic_grid, kuhn_probe_points
@@ -33,9 +34,29 @@ class TestBuildGrid:
         g = hp.build_grid(box, 0.1)
         assert g.k_r <= 0.1
 
-    def test_budget(self):
-        with pytest.raises(ValidationError, match="nodes, exceeding the budget of 1000$"):
-            hp.build_grid(unit_box(4), 0.001, node_budget=1000)
+    def test_node_count_is_exact(self):
+        # 200001**4 overflows int64: np.prod wrapped it to a negative count
+        g = grid_from_edge(unit_box(4), np.full(4, 1.0 / 200_000))
+        assert tuple(g.cells_per_axis) == (200_000,) * 4
+        assert g.node_count == 200_001**4 and type(g.node_count) is int
+
+    @pytest.mark.parametrize("diameter", [1e-20, 1e-320, np.nan])
+    def test_cell_count_beyond_2_53_is_refused(self, diameter):
+        # refused before the int64 cast, without an overflow or cast warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="cells per axis .limit 2..53.$"):
+                hp.build_grid(unit_box(4), diameter)
+
+
+class TestCheckCacheSize:
+    def test_entries_are_exact(self):
+        # 16 nodes, 3 controls, 3 stencil entries per pair
+        assert check_cache_size(hp.build_grid(unit_box(2), 0.5), 3, 144) == 144
+        g = grid_from_edge(unit_box(4), np.full(4, 1.0 / 200_000))
+        entries = 200_001**4 * 11 * 5
+        with pytest.raises(ValidationError, match=f"^arrival cache needs {entries} entries"):
+            check_cache_size(g, 11, 200_000_000)
 
 
 class TestStencil:

@@ -270,6 +270,16 @@ class TestNonFiniteArrivals:
             call()
 
 
+    def test_huge_finite_arrivals_are_refused_before_the_int64_cast(self):
+        # arrivals 1e299 beyond the box push a face out by 1e300 edges: the
+        # cell count was cast to INT64_MIN and a grid of negative node count
+        # came back
+        rs = self.reduced_system(1e300)
+        box = Hyperbox(np.array([-1.0]), np.array([1.0]))
+        with pytest.raises(ValidationError, match=r"^edge \[0.1\] needs \[1.e\+300\] cells"):
+            ensure_invariant_grid(rs, box, [-1.0, 0.0, 1.0], 0.1, 0.1)
+
+
 class TestProjectionNormChain:
     def test_coefficient_norm_bounded_by_state_norm(self, rng):
         # |P_c z|_2 = |P^r z|_w <= |z|_w on random samples.
@@ -334,6 +344,28 @@ class TestGrowToInvariant:
         box = grow_to_invariant(rs, start, [-1.0, 1.0])
         np.testing.assert_array_equal(box.lower, start.lower)
         np.testing.assert_array_equal(box.upper, start.upper)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "start, u", [(0.5, 1), (1.0, -1)], ids=["bracketing", "face-sample"]
+    )
+    def test_non_finite_rhs_raises(self, bad, start, u):
+        # expansive 2y + u, not finite where |y| > 0.9: a NaN used to count
+        # as inward flow, so growth stopped at the NaN region's edge (from
+        # [-0.5, 0.5]) or kept a face inside it (from [-1, 1]) without error
+        def rhs_batch(Y, u):
+            Y = np.asarray(Y, dtype=float)
+            return np.where(np.abs(Y) > 0.9, bad, 2.0 * Y + u)
+
+        sys_b = hp.ControlledSystem(
+            n=1, rhs=lambda y, u: rhs_batch(y[None], u)[0], running_cost=lambda y, u: 0.0,
+            weight=np.ones(1), control_box=(-1.0, 1.0), label="nan-beyond", rhs_batch=rhs_batch,
+        )
+        rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys_b, 1)
+        box = Hyperbox(np.array([-start]), np.array([start]))
+        message = f"axis-0 component is NaN or inf at or beyond the upper face under control u={u}$"
+        with pytest.raises(NumericalError, match=message):
+            grow_to_invariant(rs, box, [-1.0, 1.0])
 
     def test_test1_box_equals_an_80_step_bisection(self, test1_bundle, test1_reduced, monkeypatch):
         # the bisection stops once no bracket can move; the box is bit for bit
