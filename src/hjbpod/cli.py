@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -73,12 +75,13 @@ class RunConfig:
     are defined and checked.
 
     Construction checks each value against its field's kind, converts the
-    tuple fields to float tuples, fills the derived defaults and checks
-    every value's range, so every field holds the value the run uses and a
-    bad value raises a ValidationError naming its key before any command
-    reads or writes.  Values from a config file and from flags pass the
-    same checks.  The solve's size is limited by ``cache_budget`` alone, the
-    entries of the arrival cache (:func:`hjbgrid.check_cache_size`).
+    tuple fields to float tuples of finite numbers, fills the derived
+    defaults and checks every value's range (NaN is out of every range),
+    so every field holds the value the run uses and a bad value raises a
+    ValidationError naming its key before any command reads or writes.
+    Values from a config file and from flags pass the same checks.  The
+    solve's size is limited by ``cache_budget`` alone, the entries of the
+    arrival cache (:func:`hjbgrid.check_cache_size`).
     """
 
     test: str = "test1"
@@ -115,7 +118,10 @@ class RunConfig:
             if not (value is None and optional or _of_kind(value, kind)):
                 raise ValidationError(f"config key {f.name!r} must be a {kind}, got {value!r}")
             if kind == "tuple" and value is not None:
-                setattr(self, f.name, tuple(float(v) for v in value))
+                value = tuple(float(v) for v in value)
+                if not all(math.isfinite(v) for v in value):
+                    raise ValidationError(f"{f.name} must hold finite numbers, got {value!r}")
+                setattr(self, f.name, value)
         if self.tau is None:
             self.tau = self.T
         if self.h is None:
@@ -126,11 +132,11 @@ class RunConfig:
             "T", "dt", "tau", "t_e", "k_r", "lam", "stop_tol", "r", "h", "guess_step",
             "control_count", "max_iters", "rel_tol", "abs_tol", "cache_budget",
         ):
-            if getattr(self, key) <= 0:
+            if not getattr(self, key) > 0:  # NaN fails too
                 raise ValidationError(f"{key} must be positive")
         if self.cache_budget > hjbgrid.MAX_ENTRY_BUDGET:
             raise ValidationError(f"cache_budget must be at most {hjbgrid.MAX_ENTRY_BUDGET}")
-        if self.margin < 0:
+        if not self.margin >= 0:
             raise ValidationError("margin must be nonnegative")
         if not self.snapshot_controls:
             raise ValidationError("snapshot_controls must hold at least one control")
@@ -407,9 +413,10 @@ def cmd_solve(cfg: RunConfig) -> Path:
     )
     timings["iteration_s"] = time.perf_counter() - t0
     logger.info(
-        "value iteration: %d sweeps, residual %.3e, converged=%s",
+        "value iteration: %d sweeps, residual %.3e, bound %.3e, converged=%s",
         vf.iterations,
         vf.final_residual,
+        vf.error_bound,
         vf.converged,
     )
 
@@ -446,8 +453,9 @@ def cmd_solve(cfg: RunConfig) -> Path:
     write_json(out / f"meta_r{cfg.r}.json", meta)
     if not vf.converged:
         raise NumericalError(
-            f"value iteration unconverged (residual {vf.final_residual:.3e} "
-            f"after {vf.iterations} sweeps); artifacts were written"
+            f"value iteration unconverged (residual {vf.final_residual:.3e}, bound "
+            f"{vf.error_bound:.3e} > stop_tol {vf.stop_tol:.3e} after {vf.iterations} "
+            "sweeps); artifacts were written"
         )
     return out
 
@@ -610,8 +618,8 @@ def cmd_report(cfg: RunConfig) -> Path:
         lines.append(
             f"{meta_path.name}: nodes={meta['grid']['node_count']} "
             f"iters={it.get('iterations')} residual={it.get('final_residual'):.3e} "
-            f"converged={it.get('converged')} violations={inv.get('violations')} "
-            f"tail={meta['basis']['eigval_tail']:.3e}"
+            f"bound={it.get('error_bound'):.3e} converged={it.get('converged')} "
+            f"violations={inv.get('violations')} tail={meta['basis']['eigval_tail']:.3e}"
         )
     for sim_path in sorted(out.glob("simulate_r*.json")):
         with open(sim_path) as fh:
@@ -664,7 +672,9 @@ _FLAGS = (
 )
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     p = argparse.ArgumentParser(
         prog="hjbpod",
         description="Reduced-order dynamic-programming feedback control pipeline",
@@ -676,7 +686,11 @@ def main(argv=None) -> int:
         parse = {"int": int, "float": float, "str": str}[kind]
         p.add_argument("--" + name.replace("_", "-"), dest=name, type=parse)
     p.add_argument("-v", "--verbose", action="store_true")
-    args = p.parse_args(argv)
+    return p
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

@@ -122,6 +122,17 @@ class TestConfig:
             ("test", "bogus", "test must be one of ('test1', 'test2', 'custom')"),
             ("clamp_policy", "bogus", "clamp_policy must be one of ('clamp', 'reject')"),
             ("cache_budget", 2**31, "cache_budget must be at most 2147483647"),
+            ("k_r", float("nan"), "k_r must be positive"),
+            ("stop_tol", float("nan"), "stop_tol must be positive"),
+            ("h", float("nan"), "h must be positive"),
+            ("lam", float("nan"), "lam must be positive"),
+            ("dt", float("nan"), "dt must be positive"),
+            ("T", float("nan"), "T must be positive"),
+            ("rel_tol", float("nan"), "rel_tol must be positive"),
+            ("margin", float("nan"), "margin must be nonnegative"),
+            ("snapshot_controls", [float("nan"), 0.0], "snapshot_controls must hold finite"),
+            ("control_box", [-2.2, float("inf")], "control_box must hold finite numbers"),
+            ("y0", [float("nan")] * 23, "y0 must hold finite numbers"),
         ],
     )
     def test_out_of_range_value_exits_2_before_any_work(
@@ -211,6 +222,8 @@ class TestPipeline:
         cli.cmd_report(cfg)
         captured = capsys.readouterr()
         assert "meta_r2.json" in captured.out
+        meta = json.loads((out / "meta_r2.json").read_text())
+        assert f"bound={meta['iteration']['error_bound']:.3e} converged=True" in captured.out
 
     def test_meta_records_the_thread_variables(self, run_dir, monkeypatch):
         # the POD basis depends on the BLAS thread count
@@ -608,6 +621,7 @@ class TestMainEntry:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
         assert cli.main(["report", "--outdir", str(tmp_path / "absent")]) == 2
         assert len(built) == 1
         with pytest.raises(SystemExit) as exc:

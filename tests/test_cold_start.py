@@ -4,7 +4,9 @@
 (``scipy.integrate``, which also pulls in ``scipy.special`` and
 ``scipy.optimize``) and ``scipy.linalg`` are imported by the functions that
 call them, so commands that never integrate or solve a Riccati equation do
-not pay for them.  Each check runs in its own interpreter.
+not pay for them; ``solve`` loads ``scipy.linalg`` alone of them, through
+the ``scipy.sparse.linalg`` of its policy evaluation.  Each check runs in
+its own interpreter.
 """
 
 import dataclasses
@@ -45,13 +47,14 @@ def test_import_and_warm_probe_load_only_sparse():
     assert loaded_after(code) == {"scipy.sparse"}
 
 
-def test_test2_solve_loads_no_integrator_or_dense_linalg(tmp_path):
+def test_test2_solve_loads_no_integrator(tmp_path):
+    # the policy evaluation's scipy.sparse.linalg loads scipy.linalg with it
     cfg = small_test2_config(tmp_path)
     cli.cmd_snapshots(cfg)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dataclasses.asdict(cfg)))
     code = f"from hjbpod import cli\nassert cli.main(['solve', '--config', {str(path)!r}]) == 0"
-    assert loaded_after(code) == {"scipy.sparse"}
+    assert loaded_after(code) == {"scipy.sparse", "scipy.linalg"}
     assert (tmp_path / "solve_r2.npz").exists()
 
 

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import hjbpod as hp
 from hjbpod.errors import NumericalError, ValidationError
@@ -377,11 +378,35 @@ class TestValueIteration:
         _, table = hp.value_iteration(cache, np.zeros(nc), 1.0, 0.1, 1e-6)
         assert np.all(table.controls == -0.5)
 
-    def test_unconverged_flagged(self, toy_cache):
+    def test_unconverged_flagged(self, toy_cache, caplog):
         grid, cache = toy_cache
         vf, _ = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.002, 1e-12, max_iters=3)
         assert not vf.converged
         assert vf.iterations == 3
+        assert vf.error_bound > 1e-12
+        assert "value iteration unconverged after 3 sweeps" in caplog.text
+
+    def test_failed_policy_evaluation_warns_and_the_greedy_residual_decides(
+        self, monkeypatch, caplog
+    ):
+        # an evaluation that returns its start unimproved leaves plain Jacobi
+        # sweeps, which still stop on the bound
+        grid = toy_grid(diameter=0.25)
+        cache = constant_cache(grid, 1.0)
+        monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", lambda a, b, x0, rtol: (x0, 7))
+        vf, _ = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.1, 1e-4)
+        assert vf.converged and vf.error_bound <= 1e-4
+        assert vf.iterations > 50
+        assert np.max(np.abs(vf.values - 1.0)) <= vf.error_bound
+        assert "policy evaluation after sweep 1: BiCGSTAB info 7" in caplog.text
+
+    def test_policy_evaluation_reaches_the_fixed_point_in_one_step(self):
+        # one control: the first evaluation solves the fixed point itself
+        grid = toy_grid(diameter=0.25)
+        cache = constant_cache(grid, 1.0)
+        vf, _ = hp.value_iteration(cache, np.zeros(grid.node_count), 1.0, 0.1, 1e-12)
+        assert vf.converged and vf.iterations == 2
+        np.testing.assert_allclose(vf.values, 1.0, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_initial_guess_refused(self, toy_cache, bad):
@@ -579,27 +604,67 @@ def _node_major_jacobi(cache, v0, lam, h, stop_tol):
             return v, argmin, residuals, changes
 
 
-@pytest.mark.parametrize(
-    "bundle, r, diameter", [("test1_bundle", 3, 0.05), ("test2_bundle", 2, 0.1)],
-    ids=["test1", "test2"],
-)
-def test_value_iteration_equals_a_node_major_jacobi_loop(request, bundle, r, diameter):
-    # 243 and 189 nodes, 11 controls, about 200 sweeps each
+def _jacobi(cache, v0, lam, h, stop_tol):
+    """Jacobi iteration through :func:`hp.sweep_once`, the greedy step of
+    value iteration, until two iterates differ by less than ``stop_tol``."""
+    v, prev, residuals, changes = v0.copy(), None, [], []
+    while True:
+        v_new, argmin = hp.sweep_once(cache, v, lam, h)
+        residuals.append(np.max(np.abs(v_new - v)))
+        changes.append(v.size if prev is None else np.count_nonzero(argmin != prev))
+        v, prev = v_new, argmin
+        if residuals[-1] < stop_tol:
+            return v, argmin, residuals, changes
+
+
+def _small_problem(request, bundle, r, diameter):
+    """A clamped test1 or test2 cache on a coarse grid, 11 controls, h = 0.01,
+    and its warm start."""
     sys_obj, snap, basis = request.getfixturevalue(bundle)
     rs = ReducedSystem(basis, sys_obj, r)
     grid = aligned_grid(hp.build_domain(basis, snap, r), diameter)
     controls = hp.ControlSet(np.linspace(*sys_obj.control_box, 11))
-    h, stop_tol = 0.01, 1e-6
-    cache = hp.build_arrival_cache(grid, rs, controls, h)
+    cache = hp.build_arrival_cache(grid, rs, controls, 0.01)
     v0 = hp.initial_value_guess(grid, rs, [controls.values[0], 0.0], 1.0, 0.05, 1.0)
-    vf, table = hp.value_iteration(cache, v0, 1.0, h, stop_tol)
+    return cache, v0
+
+
+SMALL_PROBLEMS = pytest.mark.parametrize(
+    "bundle, r, diameter", [("test1_bundle", 3, 0.05), ("test2_bundle", 2, 0.1)],
+    ids=["test1", "test2"],
+)
+
+
+@SMALL_PROBLEMS
+def test_value_iteration_equals_a_node_major_jacobi_loop(request, bundle, r, diameter):
+    # 243 and 189 nodes, 11 controls, about 200 sweeps each
+    cache, v0 = _small_problem(request, bundle, r, diameter)
+    h, stop_tol = 0.01, 1e-6
+    values, argmin, residuals, changes = _jacobi(cache, v0, 1.0, h, stop_tol)
     ref_v, ref_a, ref_res, ref_changes = _node_major_jacobi(cache, v0, 1.0, h, stop_tol)
-    assert cache.invariance.violations > 0 and vf.iterations > 100
-    assert vf.iterations == len(ref_res)
-    np.testing.assert_array_equal(vf.values, ref_v)
-    np.testing.assert_array_equal(table.controls, controls.values[ref_a])
-    np.testing.assert_array_equal(vf.residual_history, ref_res)
-    np.testing.assert_array_equal(vf.argmin_change_history, ref_changes)
+    assert cache.invariance.violations > 0 and len(residuals) > 100
+    assert len(residuals) == len(ref_res)
+    np.testing.assert_array_equal(values, ref_v)
+    np.testing.assert_array_equal(argmin, ref_a)
+    np.testing.assert_array_equal(residuals, ref_res)
+    np.testing.assert_array_equal(changes, ref_changes)
+
+
+@SMALL_PROBLEMS
+@pytest.mark.parametrize("stop_tol", [1e-3, 1e-6, 1e-9])
+def test_value_iteration_lies_within_its_bound_of_the_fixed_point(
+    request, bundle, r, diameter, stop_tol
+):
+    cache, v0 = _small_problem(request, bundle, r, diameter)
+    lam, h = 1.0, 0.01
+    v_star, _, _, _ = _node_major_jacobi(cache, v0, lam, h, 1e-13)
+    # v_star is itself within 1e-13 (1 - lam h) / (lam h) of the fixed point
+    slack = 1e-13 * (1 - lam * h) / (lam * h)
+    vf, _ = hp.value_iteration(cache, v0, lam, h, stop_tol)
+    assert vf.converged and vf.error_bound <= stop_tol
+    assert vf.residual_history.size == vf.argmin_change_history.size == vf.iterations
+    assert vf.final_residual == vf.residual_history[-1]
+    assert np.max(np.abs(vf.values - v_star)) <= vf.error_bound + slack
 
 
 def test_first_minimum_takes_the_lowest_index_with_its_bits():
