@@ -1,10 +1,9 @@
 """Hot numerical kernels of the dynamic-programming solve, in numpy and scipy.
 
 A sweep is one sparse matrix-vector product over every (control, node)
-pair; its operator is control-major (row ``l*nc + i``), so that the minimum
-over the controls is an elementwise pass over nu contiguous rows of nc
-values.  The warm-start rollouts advance all live nodes at once, with the
-reduced cubic taken over its unique monomials
+pair, through a control-major operator (row ``l*nc + i``), then
+``np.argmin`` over the controls.  The warm-start rollouts advance all live
+nodes at once, with the reduced cubic taken over its unique monomials
 (:func:`~hjbpod.reduced.cubic_batch`).  There are no compiled or parallel
 kernels here, but the results still depend on the BLAS thread count: the
 POD basis they start from changes in its last bits with it (the CLI
@@ -25,9 +24,10 @@ HAVE_NUMBA = False
 def sweep_operator(idx, wts):
     """The stencils as a CSR matrix with one row per (control, node) pair.
 
-    ``idx`` and ``wts`` are control-major, (nu, nc, s) and C-contiguous.
-    Row ``l*nc + i`` sums the stencil of node i under control l in vertex
-    order; ``indices`` and ``data`` are views of ``idx`` and ``wts``.
+    ``idx`` and ``wts`` are control-major, (nu, nc, s).  Row ``l*nc + i``
+    sums the stencil of node i under control l in vertex order; ``indices``
+    and ``data`` are views of ``idx`` and ``wts`` when these are
+    C-contiguous, and flat copies otherwise.
     """
     nu, nc, s = idx.shape
     indptr = np.arange(0, nu * nc * s + 1, s, dtype=np.int32)
@@ -37,41 +37,17 @@ def sweep_operator(idx, wts):
 def sweep_with(op, v, hg, one_minus_lh):
     """One Jacobi sweep through the operator of :func:`sweep_operator`.
 
-    ``hg`` is the (nu, nc) stage cost already scaled by the step h, so the
-    sweep allocates one nu*nc array, the product ``op @ v``.  Returns the
-    updated nodal values and the per-node argmin control index, as
-    :func:`first_minimum` picks them.
+    ``hg`` is the (nu, nc) stage cost already scaled by the step h.  Returns
+    the updated nodal values and the per-node argmin control index (int32)
+    that ``np.argmin`` picks: ties go to the lowest control (hence the
+    smallest control value when the control list is sorted ascending), the
+    first NaN candidate wins, and a node's value has its candidate's bits.
     """
     vals = (op @ v).reshape(hg.shape)
     vals *= one_minus_lh
     vals += hg
-    return first_minimum(vals)
-
-
-def first_minimum(vals):
-    """Per-node minimum of (nu, nc) candidates and the lowest index attaining it.
-
-    Each step is an elementwise pass over contiguous rows of nc values.  Ties
-    resolve to the lowest control index (hence the smallest control value
-    when the control list is sorted ascending), and a node's value has the
-    bits of that candidate, -0.0 included.  A node with a NaN candidate gets
-    the first NaN, as ``np.argmin`` would pick it.
-    """
-    nu, nc = vals.shape
-    best = np.minimum.reduce(vals, axis=0)
-    # a descending pass over the controls leaves the lowest minimal index
-    argmin = np.zeros(nc, dtype=np.int32)
-    hit = np.empty(nc, dtype=bool)
-    for l in range(nu - 1, -1, -1):
-        np.equal(vals[l], best, out=hit)
-        argmin[hit] = l
-    nan = np.isnan(best)
-    if nan.any():
-        argmin[nan] = np.argmax(np.isnan(vals[:, nan]), axis=0)
-    flat = argmin.astype(np.intp)
-    flat *= nc
-    flat += np.arange(nc)
-    return vals.reshape(-1).take(flat), argmin
+    argmin = np.argmin(vals, axis=0).astype(np.int32)
+    return vals[argmin, np.arange(vals.shape[1])], argmin
 
 
 def sweep(v, idx, wts, g, one_minus_lh, h):
@@ -79,8 +55,8 @@ def sweep(v, idx, wts, g, one_minus_lh, h):
     node-major (nc, nu, ·) stencils and (nc, nu) costs, building the operator
     of :func:`sweep_operator` for this call alone (no copy when the arrays
     are transposed views of control-major storage, as a cache's are)."""
-    op = sweep_operator(*(np.ascontiguousarray(a.swapaxes(0, 1)) for a in (idx, wts)))
-    return sweep_with(op, v, h * np.ascontiguousarray(g.T), one_minus_lh)
+    op = sweep_operator(idx.swapaxes(0, 1), wts.swapaxes(0, 1))
+    return sweep_with(op, v, h * g.T, one_minus_lh)
 
 
 def rollout_minima(nodes, controls, cost, rhs, lam, h, n_steps, blow_sq):

@@ -621,6 +621,10 @@ def cmd_report(cfg: RunConfig) -> Path:
             f"bound={it.get('error_bound'):.3e} converged={it.get('converged')} "
             f"violations={inv.get('violations')} tail={meta['basis']['eigval_tail']:.3e}"
         )
+        with np.load(_existing(out / f"solve_r{meta['config']['r']}.npz", "solve")) as data:
+            residuals = " ".join(f"{x:.3e}" for x in data["residual_history"])
+            changes = " ".join(str(n) for n in data["argmin_change_history"])
+        lines.append(f"  per greedy sweep: residual=[{residuals}] argmin_changes=[{changes}]")
     for sim_path in sorted(out.glob("simulate_r*.json")):
         with open(sim_path) as fh:
             sim = json.load(fh)

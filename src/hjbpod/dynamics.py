@@ -379,8 +379,10 @@ def integrate(
             complete[1:] &= info["tcur"] >= times[1:]
         if failed or not complete.all():
             n_done = int(np.argmin(np.append(complete, False)))
+            # LSODA reports success on a rhs that turned NaN or infinite
+            reason = info["message"] if failed else "the solution became NaN or infinite"
             raise IntegrationFailure(
-                f"integration failed: {info['message']}", float(last_t[0]), out[max(n_done - 1, 0)]
+                f"integration failed: {reason}", float(last_t[0]), out[max(n_done - 1, 0)]
             )
         states = out[1:]
 

@@ -19,9 +19,11 @@ class NumericalError(HjbPodError):
 
 
 class IntegrationFailure(NumericalError):
-    """Time integration broke down; carries the failure time."""
+    """Time integration broke down; carries the failure time, and the message
+    without it as ``reason`` for a wrapper to prefix."""
 
     def __init__(self, message: str, time: float, state=None):
+        self.reason = message
         self.time = time
         self.state = state
         super().__init__(f"{message} (t={time:.6g})")

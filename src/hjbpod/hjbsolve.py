@@ -9,10 +9,10 @@ with I the piecewise-linear interpolation of the grid.  Arrival points,
 their interpolation stencils and the stage costs are static across sweeps
 and precomputed into an :class:`ArrivalCache`, which builds its sparse sweep
 operator and its h-scaled costs once.  The cache is indexed node-major and
-stored control-major, so each greedy sweep is one sparse matrix-vector
-product over every (control, node) pair followed by a minimum over the
-controls taken as elementwise passes over contiguous rows, a contraction
-with factor (1 - lam*h).  :func:`value_iteration` is Howard policy
+stored control-major, so that its build writes contiguously; each greedy
+sweep is one sparse matrix-vector product over every (control, node) pair
+followed by ``np.argmin`` over the controls (ties to the lowest control), a
+contraction with factor (1 - lam*h).  :func:`value_iteration` is Howard policy
 iteration: between greedy sweeps it evaluates the sweep's argmin policy
 exactly, by a BiCGSTAB solve of the policy's linear system on rows of the
 same operator, and it stops once the a-posteriori bound on the distance

@@ -170,7 +170,7 @@ def generate_snapshots(
             traj = integrate(sys, y0, float(u), (0.0, T), cfg, sample_times)
         except IntegrationFailure as exc:
             raise IntegrationFailure(
-                f"snapshot trajectory {nu} (u={u:g}) failed: {exc}", exc.time, exc.state
+                f"snapshot trajectory {nu} (u={u:g}) failed: {exc.reason}", exc.time, exc.state
             ) from exc
         states[nu] = traj.states
         for k, y in enumerate(traj.states):

@@ -6,8 +6,9 @@ attributes of their results; ``perfbench/reference.py`` and
 removed attribute breaks only the benchmark, which the other tests never
 run.  This test runs the traced pipeline on a tiny test-2 config, on a tiny
 invariant test-1 config (the path of ``ensure_invariant_grid``,
-``grow_to_invariant`` and the warm start) and the set-up probe, and leaves
-every file under ``perfbench/`` as it is.
+``grow_to_invariant`` and the warm start), on the real t1-invariant
+workload with its two traced gates, and the set-up probe, and leaves every
+file under ``perfbench/`` as it is.
 """
 
 import importlib
@@ -81,6 +82,24 @@ def test_traced_pipeline_emits_every_declared_layer_metric(tmp_path, perfbench_m
     # one stencil of r+1 = 3 vertices per node and each of the 5 controls
     assert metrics["hjbsolve.build_arrival_cache.entries"] == metrics["hjbgrid.grid.nodes"] * 5 * 3
     assert metrics["hjbsolve.FeedbackPolicy.calls"] > 0
+
+
+def test_traced_t1_workload_passes_its_gates(tmp_path, perfbench_modules):
+    # the traced benchmark run on the real t1-invariant workload fails on
+    # either gate: the stressed layer must hold the largest self time and
+    # the top-level spans must cover each command's wall time
+    bench, tracing = perfbench_modules
+    tracer = tracing.Tracer()
+    try:
+        result = bench.run_workload(bench.WORKLOADS["t1-invariant"], 1, 0.0, tmp_path, tracer)
+    finally:
+        tracer.uninstall()
+    assert result["failures"] == []
+    assert result["reference_ok"]
+    summary = tracing.self_time_summary(tracer.spans, "t1-invariant")
+    assert summary["stressed_layer_has_largest_self_time"] is True, summary["self_time_s"]
+    metrics, _ = tracing.layer_metrics(tracer, tracing.span_cost_s(samples=1000))
+    assert metrics["trace.top_span_coverage"] >= tracing.MIN_TOP_SPAN_COVERAGE
 
 
 def test_warm_probe_runs():

@@ -224,6 +224,12 @@ class TestPipeline:
         assert "meta_r2.json" in captured.out
         meta = json.loads((out / "meta_r2.json").read_text())
         assert f"bound={meta['iteration']['error_bound']:.3e} converged=True" in captured.out
+        with np.load(out / "solve_r2.npz") as data:
+            residuals = " ".join(f"{x:.3e}" for x in data["residual_history"])
+            changes = " ".join(map(str, data["argmin_change_history"]))
+        assert len(residuals.split()) == meta["iteration"]["iterations"]
+        line = f"  per greedy sweep: residual=[{residuals}] argmin_changes=[{changes}]\n"
+        assert line in captured.out
 
     def test_meta_records_the_thread_variables(self, run_dir, monkeypatch):
         # the POD basis depends on the BLAS thread count
@@ -351,6 +357,25 @@ def _non_finite_beyond_one(config, bad):
 
     return dataclasses.replace(
         system, rhs=lambda y, u: rhs_batch(y[None], u)[0], rhs_batch=rhs_batch, structure=None
+    )
+
+
+def make_escaping_system(config):
+    """``y' = y + u`` with a rhs that is NaN wherever some |y_i| > 2: from
+    y0 = (1, 1, 1) under u = 0 the solution leaves that box, and LSODA
+    reports success on the NaN samples that follow."""
+    import numpy as np
+
+    import hjbpod as hp
+
+    n = int(config.get("N", 4)) - 1
+
+    def rhs(y, u):
+        return y + u if np.abs(y).max() <= 2.0 else np.full(n, np.nan)
+
+    return hp.ControlledSystem(
+        n=n, rhs=rhs, running_cost=lambda y, u: float(y @ y), weight=np.ones(n),
+        control_box=(-1.0, 1.0), label="escaping",
     )
 
 
@@ -589,6 +614,21 @@ class TestMainEntry:
         assert cli.main(["solve", "--max-iters", "1"] + argv) == 3
         assert capsys.readouterr().err.startswith("numerical failure: value iteration unconverged")
         assert (tmp_path / "out" / "solve_r2.npz").exists()
+
+    def test_non_finite_snapshot_names_the_cause_and_the_time_once(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        config = dict(
+            test="custom", factory="test_cli:make_escaping_system", N=4, y0=[1.0, 1.0, 1.0],
+            snapshot_controls=[0.0], outdir=str(tmp_path / "out"),
+        )
+        path.write_text(json.dumps(config))
+        assert cli.main(["snapshots", "--config", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "numerical failure: snapshot trajectory 0 (u=0) failed: "
+            "integration failed: the solution became NaN or infinite (t="
+        )
+        assert err.count("(t=") == 1
 
     def test_missing_snapshots_exit_code(self, tmp_path):
         code = cli.main(["solve", "--test", "test1", "--outdir", str(tmp_path / "empty")])

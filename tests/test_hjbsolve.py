@@ -667,31 +667,32 @@ def test_value_iteration_lies_within_its_bound_of_the_fixed_point(
     assert np.max(np.abs(vf.values - v_star)) <= vf.error_bound + slack
 
 
-def test_first_minimum_takes_the_lowest_index_with_its_bits():
+def test_sweep_takes_the_lowest_index_with_its_bits():
     from hjbpod import _accel
 
     # one row of nu candidates per node, transposed to the (nu, nc) layout
     nodes = np.array(
         [
-            [0.0, -0.0, 1.0],  # signed-zero tie: +0.0 from control 0
-            [-0.0, 0.0, 1.0],  # -0.0 from control 0
-            [1.0, -0.0, 0.0],  # -0.0 from control 1
+            [0.0, -0.0, 1.0],  # signed-zero tie, a plain tie once swept
+            [-0.0, 0.0, 1.0],
+            [1.0, -0.0, 0.0],  # tie at controls 1 and 2
             [2.0, 1.0, 1.0],  # exact tie at control 1
             [1.0, np.nan, 0.0],  # a NaN candidate is never replaced
             [np.nan, -1.0, np.nan],
             [3.0, 2.0, 1.0],
         ]
     )
-    vals = np.ascontiguousarray(nodes.T)
-    got_v, got_a = _accel.first_minimum(vals)
-    # the node-major rule: np.argmin and the candidate at it
-    ref_a = np.argmin(nodes, axis=1)
-    ref_v = nodes[np.arange(len(nodes)), ref_a]
-    np.testing.assert_array_equal(got_a, ref_a)
+    hg = np.ascontiguousarray(nodes.T)
+    nu, nc = hg.shape
+    # a zero operator: the sweep sees the candidates 0.0 * (1 - lam h) + hg
+    op = _accel.sweep_operator(np.zeros((nu, nc, 1), np.int32), np.zeros((nu, nc, 1)))
+    got_v, got_a = _accel.sweep_with(op, np.ones(nc), hg, 0.998)
+    seen = 0.0 * 0.998 + nodes
+    ref_v = seen[np.arange(nc), got_a]
+    assert got_a.tolist() == [0, 0, 1, 1, 1, 0, 2]
     assert got_a.dtype == np.int32
     assert got_v.view(np.uint64).tolist() == ref_v.view(np.uint64).tolist()
-    assert got_a.tolist() == [0, 0, 1, 1, 1, 0, 2]
-    assert np.signbit(got_v[:3]).tolist() == [False, True, True]
+    assert not np.signbit(got_v[:3]).any()
 
 
 def test_cache_gathers_equal_the_per_node_stencils(toy_solution_free, toy_reduced, rng):
