@@ -35,7 +35,7 @@ def sweep_operator(idx, wts):
 
 
 def sweep_with(op, v, hg, one_minus_lh):
-    """One Jacobi sweep through the operator of :func:`sweep_operator`.
+    """One greedy sweep through the operator of :func:`sweep_operator`.
 
     ``hg`` is the (nu, nc) stage cost already scaled by the step h.  Returns
     the updated nodal values and the per-node argmin control index (int32)
@@ -51,7 +51,7 @@ def sweep_with(op, v, hg, one_minus_lh):
 
 
 def sweep(v, idx, wts, g, one_minus_lh, h):
-    """One Jacobi sweep of the discrete dynamic-programming operator on
+    """One greedy sweep of the discrete dynamic-programming operator on
     node-major (nc, nu, ·) stencils and (nc, nu) costs, building the operator
     of :func:`sweep_operator` for this call alone (no copy when the arrays
     are transposed views of control-major storage, as a cache's are)."""

@@ -36,8 +36,10 @@ logger = logging.getLogger(__name__)
 # boundary-layer transient that would pollute the basis.  Test 1 admits an
 # invariant reduced box (grown and verified); the advection-dominated
 # test 2 does not, so its arrivals are clamped and the statistics recorded.
-# Test 2 solves to a tighter fixed point and uses a coarser control set:
-# the control-table argmins near the target state need both to settle.
+# Test 2 stops at a tighter bound on the distance from the fixed point: its
+# values are small (y0'P y0 = 0.021 from its initial state), so test 1's
+# 5e-4 would be a few percent of them, and policy iteration reaches 1e-6 in
+# a few greedy sweeps.
 _TEST_DEFAULTS = {
     "test1": dict(quotient_at_zero=True, ensure_invariance=True),
     "test2": dict(
@@ -369,12 +371,14 @@ def cmd_solve(cfg: RunConfig) -> Path:
         _check_system(cfg, meta_path, json.load(fh)["config"], "snapshots")
     snap = pod.load_snapshots(snap_path)
     basis = pod.load_basis(_existing(out / "basis.npz", "snapshots"))
-    if cfg.r > basis.d:
-        raise ValidationError(f"requested rank r={cfg.r} exceeds basis dimension d={basis.d}")
 
     sys_obj = cfg.system()
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
+    # value_iteration's policy evaluation; its first import (tens of ms)
+    # counts in setup_s rather than in iteration_s
+    import scipy.sparse.linalg  # noqa: F401
+
     rs = reduced.ReducedSystem(basis, sys_obj, cfg.r)
     box = reduced.build_domain(basis, snap, cfg.r, margin=cfg.margin)
     control_values = np.linspace(*sys_obj.control_box, cfg.control_count)

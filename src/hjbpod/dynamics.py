@@ -57,7 +57,8 @@ class ControlledSystem:
     weight : positive quadrature weights of the state inner product.
     control_box : admissible control interval ``(u_a, u_b)``.
     label : identifier used in artifacts.
-    rhs_batch : optional vectorized rhs over stacked states ``(m, n)``.
+    rhs_batch : rhs over stacked states ``(m, n)``, row by row; when none
+        is given, a loop of ``rhs`` over the rows.
     jacobian : optional ``(y, u) -> d rhs/dy`` for implicit integrators.
     structure : optional :class:`SystemStructure` hints.
     """
@@ -81,6 +82,10 @@ class ControlledSystem:
         if not self.control_box[0] < self.control_box[1]:
             raise ValidationError("control_box must satisfy u_a < u_b")
         object.__setattr__(self, "weight", w)
+        if self.rhs_batch is None:
+            rhs = self.rhs
+            rows = lambda Y, u: np.array([rhs(y, u) for y in Y], dtype=float).reshape(np.shape(Y))
+            object.__setattr__(self, "rhs_batch", rows)
 
     def weighted_norm(self, y: Array) -> float:
         """Norm induced by the quadrature weights."""
@@ -312,9 +317,9 @@ def integrate(
     """Integrate ``y' = f(y, u)`` with LSODA and sample the solution.
 
     ``control`` is a scalar (held constant) or a state feedback ``u(y)``.
-    The whole span, from ``t0`` to the last sample time, is one
-    ``scipy.integrate.odeint`` call.  LSODA gets the exact Jacobian when
-    one is known: the system's own for a scalar control, and
+    The span must have ``t0 < t1``; all of it, from ``t0`` to the last
+    sample time, is one ``scipy.integrate.odeint`` call.  LSODA gets the
+    exact Jacobian when one is known: the system's own for a scalar control, and
     ``J_f(y, u(y)) + b grad u(y)^T`` for a feedback with a ``gradient``
     method (:class:`FeedbackLaw`, :class:`~hjbpod.hjbsolve.FeedbackPolicy`)
     on a system with a ``jacobian`` and a :class:`SystemStructure`, whose
@@ -332,8 +337,8 @@ def integrate(
 
     cfg = cfg or IntegratorConfig()
     t0, t1 = float(t_span[0]), float(t_span[1])
-    if t1 < t0:
-        raise ValidationError("t_span must satisfy t0 <= t1")
+    if not t0 < t1:
+        raise ValidationError("t_span must satisfy t0 < t1")
     if callable(control):
         law, jac = control, None
         gradient = getattr(control, "gradient", None)
@@ -346,45 +351,39 @@ def integrate(
         jac = None if sys.jacobian is None else (lambda t, y: sys.jacobian(y, value))
     y0 = np.asarray(y0, dtype=float)
 
-    if sample_times is None:
-        sample_times = np.array([t0, t1]) if t1 > t0 else np.array([t0])
-    ts = np.asarray(sample_times, dtype=float)
+    ts = np.array([t0, t1]) if sample_times is None else np.asarray(sample_times, dtype=float)
     if np.any(np.diff(ts) <= 0):
         raise ValidationError("sample_times must be strictly increasing")
     if ts.size and (ts[0] < t0 - 1e-12 or ts[-1] > t1 + 1e-12):
         raise ValidationError("sample_times must lie within t_span")
 
-    if t1 == t0:
-        ts = np.array([t0])
-        states = y0[None, :].copy()
-    else:
-        last_t = [t0]
+    last_t = [t0]
 
-        def rhs(t, y):
-            last_t[0] = t
-            return sys.rhs(y, law(y))
+    def rhs(t, y):
+        last_t[0] = t
+        return sys.rhs(y, law(y))
 
-        times = np.concatenate(([t0], np.clip(ts, t0, t1)))
-        with warnings.catch_warnings():
-            # the failure is raised below, with its message
-            warnings.simplefilter("ignore", ODEintWarning)
-            out, info = odeint(
-                rhs, y0, times, Dfun=jac, full_output=True, tfirst=True,
-                rtol=cfg.rel_tol, atol=cfg.abs_tol, mxstep=_MXSTEP,
-            )
-        complete = np.isfinite(out).all(axis=1)
-        failed = info["message"] != "Integration successful."
-        if failed:
-            # LSODA stopped before the first sample its last step did not reach
-            complete[1:] &= info["tcur"] >= times[1:]
-        if failed or not complete.all():
-            n_done = int(np.argmin(np.append(complete, False)))
-            # LSODA reports success on a rhs that turned NaN or infinite
-            reason = info["message"] if failed else "the solution became NaN or infinite"
-            raise IntegrationFailure(
-                f"integration failed: {reason}", float(last_t[0]), out[max(n_done - 1, 0)]
-            )
-        states = out[1:]
+    times = np.concatenate(([t0], np.clip(ts, t0, t1)))
+    with warnings.catch_warnings():
+        # the failure is raised below, with its message
+        warnings.simplefilter("ignore", ODEintWarning)
+        out, info = odeint(
+            rhs, y0, times, Dfun=jac, full_output=True, tfirst=True,
+            rtol=cfg.rel_tol, atol=cfg.abs_tol, mxstep=_MXSTEP,
+        )
+    complete = np.isfinite(out).all(axis=1)
+    failed = info["message"] != "Integration successful."
+    if failed:
+        # LSODA stopped before the first sample its last step did not reach
+        complete[1:] &= info["tcur"] >= times[1:]
+    if failed or not complete.all():
+        n_done = int(np.argmin(np.append(complete, False)))
+        # LSODA reports success on a rhs that turned NaN or infinite
+        reason = info["message"] if failed else "the solution became NaN or infinite"
+        raise IntegrationFailure(
+            f"integration failed: {reason}", float(last_t[0]), out[max(n_done - 1, 0)]
+        )
+    states = out[1:]
 
     controls = np.array([law(y) for y in states], dtype=float)
     return Trajectory(ts, states, controls)

@@ -62,11 +62,11 @@ class ControlSet:
 class ArrivalCache:
     """Per (node, control): stencil of the clamped arrival point and stage cost.
 
-    The three per-pair arrays are indexed node-major, ``[node, control]``,
-    and stored control-major: each is the transposed view of a C-contiguous
-    ``(nu, nc, ...)`` array, so that a sweep reads every control's block of
-    nodes contiguously.  Node-major arrays given at construction are copied
-    into that layout.
+    The three per-pair arrays are indexed node-major, ``[node, control]``.
+    :func:`build_arrival_cache` stores them control-major, each the
+    transposed view of a C-contiguous ``(nu, nc, ...)`` array, so that a
+    sweep reads every control's block of nodes contiguously; the sweep
+    accepts any layout.
     """
 
     grid: SimplexGrid
@@ -77,22 +77,17 @@ class ArrivalCache:
     stage_cost: Array  # (nc, nu), stored (nu, nc)
     invariance: InvarianceReport
 
-    def __post_init__(self):
-        for name in ("indices", "weights", "stage_cost"):
-            base = np.ascontiguousarray(getattr(self, name).swapaxes(0, 1))
-            object.__setattr__(self, name, base.swapaxes(0, 1))
-
     @cached_property
     def operator(self):
         """The control-major CSR sweep operator (:func:`_accel.sweep_operator`),
         built once; its ``data`` and ``indices`` are views of ``weights``
-        and ``indices``."""
+        and ``indices`` when these are stored control-major."""
         return _accel.sweep_operator(self.indices.swapaxes(0, 1), self.weights.swapaxes(0, 1))
 
     @cached_property
     def scaled_cost(self):
         """``h * stage_cost``, the cost term of every sweep, formed once as a
-        C-contiguous (nu, nc) array."""
+        (nu, nc) array (C-contiguous for control-major storage)."""
         return self.h * self.stage_cost.T
 
 

@@ -41,9 +41,11 @@ class SnapshotSet:
 
     def __post_init__(self):
         N = self.M + 1
+        if self.M < 1:
+            raise ValidationError("need at least one sample after t = 0 (M >= 1)")
         if self.states.shape[:2] != (self.p, N) or self.derivs.shape != self.states.shape:
             raise ValidationError("states and derivs must both have shape (p, M+1, n)")
-        if self.dt <= 0 and self.M > 0:
+        if self.dt <= 0:
             raise ValidationError("dt must be positive")
 
     @property
@@ -140,7 +142,8 @@ def generate_snapshots(
 ) -> SnapshotSet:
     """Integrate one trajectory per constant control and sample states/derivatives.
 
-    Derivatives come from rhs evaluation at the sampled states.  With
+    ``T`` must be positive and a multiple of ``dt``.  Derivatives are the
+    system's ``rhs_batch`` at each trajectory's sampled states.  With
     ``quotient_at_zero`` the derivative at t=0 is replaced by the first
     difference quotient of the states, which avoids the blow-up of the true
     derivative for rough initial data.
@@ -148,16 +151,13 @@ def generate_snapshots(
     controls = np.asarray(list(constant_controls), dtype=float)
     if controls.size == 0:
         raise ValidationError("need at least one snapshot control")
-    if T < 0:
-        raise ValidationError("T must be nonnegative")
-    if T > 0:
-        if dt <= 0:
-            raise ValidationError("dt must be positive")
-        M = int(round(T / dt))
-        if M < 1 or abs(M * dt - T) > 1e-9 * max(1.0, T):
-            raise ValidationError("dt must divide T")
-    else:
-        M = 0
+    if not T > 0:
+        raise ValidationError("T must be positive")
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    M = int(round(T / dt))
+    if M < 1 or abs(M * dt - T) > 1e-9 * max(1.0, T):
+        raise ValidationError("dt must divide T")
     lo, hi = sys.control_box
     if np.any(controls < lo - 1e-12) or np.any(controls > hi + 1e-12):
         logger.warning("snapshot controls extend outside the admissible box [%g, %g]", lo, hi)
@@ -173,9 +173,8 @@ def generate_snapshots(
                 f"snapshot trajectory {nu} (u={u:g}) failed: {exc.reason}", exc.time, exc.state
             ) from exc
         states[nu] = traj.states
-        for k, y in enumerate(traj.states):
-            derivs[nu, k] = sys.rhs(y, traj.controls[k])
-    if quotient_at_zero and M >= 1:
+        derivs[nu] = sys.rhs_batch(traj.states, float(u))
+    if quotient_at_zero:
         derivs[:, 0, :] = (states[:, 1, :] - states[:, 0, :]) / dt
     return SnapshotSet(
         p=controls.size,
@@ -201,8 +200,7 @@ def assemble_snapshot_vectors(snap: SnapshotSet, tau: float) -> Array:
     for nu in range(p):
         ybar = snap.states[nu].mean(axis=0)
         out[nu * N] = np.sqrt(N) * ybar
-        if N > 1:
-            out[nu * N + 1 : (nu + 1) * N] = tau * snap.derivs[nu, : N - 1]
+        out[nu * N + 1 : (nu + 1) * N] = tau * snap.derivs[nu, : N - 1]
     return out
 
 
@@ -227,7 +225,7 @@ def compute_basis(snap: SnapshotSet, tau: float | None = None) -> PODBasis:
     the first significant component of each mode is positive.
     """
     if tau is None:
-        tau = snap.T if snap.T > 0 else 1.0
+        tau = snap.T
     vectors = assemble_snapshot_vectors(snap, tau)
     K = correlation_matrix(vectors, snap.weight)
     lam, vecs = np.linalg.eigh(K)
@@ -297,7 +295,7 @@ def identity_basis(weight: Array) -> PODBasis:
 
 def _check_rank(basis: PODBasis, r: int) -> int:
     if not 1 <= r <= basis.d:
-        raise ValidationError(f"rank r={r} out of range 1..{basis.d}")
+        raise ValidationError(f"rank r={r} out of range 1..{basis.d}, the basis dimension")
     return int(r)
 
 
@@ -333,7 +331,7 @@ def projection_error_stats(basis: PODBasis, snap: SnapshotSet, r: int) -> Projec
     r = _check_rank(basis, r)
     w = basis.weight
     tau = basis.tau
-    p, N, M = snap.p, snap.N, snap.M
+    p, N = snap.p, snap.N
     tail = basis.tail(r)
 
     def sq_residual(Y: Array) -> Array:
@@ -352,22 +350,13 @@ def projection_error_stats(basis: PODBasis, snap: SnapshotSet, r: int) -> Projec
     for nu in range(p):
         ybar = snap.states[nu].mean(axis=0)
         traj_mean_sq[nu] = sq_residual(ybar[None, :])[0]
-        if N > 1:
-            dres = sq_residual(snap.derivs[nu, : N - 1])
-            traj_deriv_sq[nu] = tau * tau / N * float(np.sum(dres))
-        else:
-            traj_deriv_sq[nu] = 0.0
+        dres = sq_residual(snap.derivs[nu, : N - 1])
+        traj_deriv_sq[nu] = tau * tau / N * float(np.sum(dres))
         pointwise_max_sq[nu] = float(np.max(sq_residual(snap.states[nu])))
 
-        if N > 2:
-            ytt = np.empty_like(snap.derivs[nu])
-            ytt[1:-1] = (snap.derivs[nu, 2:] - snap.derivs[nu, :-2]) / (2.0 * snap.dt)
-            ytt[0] = (snap.derivs[nu, 1] - snap.derivs[nu, 0]) / snap.dt
-            ytt[-1] = (snap.derivs[nu, -1] - snap.derivs[nu, -2]) / snap.dt
-            ytt_sq = (ytt * ytt) @ w
-            integral = float(np.trapezoid(ytt_sq, dx=snap.dt))
-        else:
-            integral = 0.0
+        # central differences inside, one-sided at both ends
+        ytt = np.gradient(snap.derivs[nu], snap.dt, axis=0)
+        integral = float(np.trapezoid((ytt * ytt) @ w, dx=snap.dt))
         pointwise_bound[nu] = (3.0 + 24.0 * T * T / (tau * tau)) * p * tail + (
             16.0 * T / 3.0
         ) * snap.dt * snap.dt * integral

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import ControlledSystem
 from .errors import NumericalError, ValidationError
-from .pod import PODBasis, SnapshotSet, lift, project_coeffs, project_coeffs_batch
+from .pod import PODBasis, SnapshotSet, _check_rank, lift, project_coeffs, project_coeffs_batch
 
 logger = logging.getLogger(__name__)
 
@@ -29,6 +29,9 @@ Array = np.ndarray
 _FACE_POINTS = 5
 _GROWTH_ROUNDS = 60
 _FACE_PAD = 1e-3
+
+# Node rows per block of clipped_arrivals, which bounds its temporaries.
+_CHUNK = 200_000
 
 
 @dataclass(frozen=True)
@@ -109,11 +112,9 @@ class ReducedSystem:
     """
 
     def __init__(self, basis: PODBasis, full: ControlledSystem, r: int):
-        if not 1 <= r <= basis.d:
-            raise ValidationError(f"rank r={r} out of range 1..{basis.d}")
         self.basis = basis
         self.full = full
-        self.r = int(r)
+        self.r = _check_rank(basis, r)
         self.phi = np.ascontiguousarray(basis.modes[:r])  # (r, n)
         self.phi_w = np.ascontiguousarray(self.phi * basis.weight)  # (r, n)
         self.gram = self.phi_w @ self.phi.T
@@ -149,9 +150,10 @@ class ReducedSystem:
         """Rows ``f_r(y, u)`` for the rows y of ``Yr``.
 
         With structure this is ``A_eff y + u b - C(y,y,y)``, the cubic taken
-        over its unique monomials (:func:`cubic_batch`); without, each row is
-        lifted, passed through the full rhs and projected.  Either way the
-        rows come in a fresh array, which the caller may overwrite.
+        over its unique monomials (:func:`cubic_batch`); without, the rows
+        are lifted, passed through the full ``rhs_batch`` and projected.
+        Either way the rows come in a fresh array, which the caller may
+        overwrite.
         """
         Yr = np.asarray(Yr, dtype=float)
         if self.structured:
@@ -159,13 +161,7 @@ class ReducedSystem:
             if self.cubic is not None:
                 out -= cubic_batch(Yr, self.cubic)
             return out
-        Y = Yr @ self.phi
-        if self.full.rhs_batch is not None:
-            F = self.full.rhs_batch(Y, u)
-        else:
-            F = np.empty_like(Y)
-            for i in range(Y.shape[0]):
-                F[i] = self.full.rhs(Y[i], u)
+        F = self.full.rhs_batch(Yr @ self.phi, u)
         # an inf times a zero basis entry is NaN; callers report non-finite rows
         with np.errstate(invalid="ignore"):
             return F @ self.phi_w.T
@@ -322,11 +318,10 @@ def clipped_arrivals(
     controls,
     h: float,
     visit=None,
-    chunk: int = 200_000,
 ) -> tuple[InvarianceReport, Array, Array]:
     """Clip the arrivals ``y + h f_r(y, u)`` of every node/control pair to the box.
 
-    Controls are taken in order, nodes in blocks of at most ``chunk`` rows;
+    Controls are taken in order, nodes in blocks of at most ``_CHUNK`` rows;
     ``visit(l, rows, clipped)`` (if given) receives each control index, the
     slice of node rows and their clipped arrivals.  A block with a NaN or
     infinite arrival raises :class:`NumericalError`.  Returns the invariance
@@ -343,8 +338,8 @@ def clipped_arrivals(
     below = np.zeros(box.r)
     above = np.zeros(box.r)
     for l, u in enumerate(controls):
-        for start in range(0, nodes.shape[0], chunk):
-            rows = slice(start, min(start + chunk, nodes.shape[0]))
+        for start in range(0, nodes.shape[0], _CHUNK):
+            rows = slice(start, min(start + _CHUNK, nodes.shape[0]))
             block = nodes[rows]
             arrivals = block + h * rs.rhs_batch(block, float(u))
             if not np.isfinite(arrivals).all():

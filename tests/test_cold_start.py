@@ -58,6 +58,26 @@ def test_test2_solve_loads_no_integrator(tmp_path):
     assert (tmp_path / "solve_r2.npz").exists()
 
 
+def test_solve_loads_the_policy_evaluation_before_timing_the_iteration(tmp_path):
+    # otherwise meta_r*.json's iteration_s holds the first import of
+    # scipy.sparse.linalg, which value_iteration uses
+    cfg = small_test2_config(tmp_path)
+    cli.cmd_snapshots(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    code = (
+        "import sys\nfrom hjbpod import cli, hjbsolve\n"
+        "iterate = hjbsolve.value_iteration\n"
+        "def entered(*args, **kwargs):\n"
+        "    assert 'scipy.sparse.linalg' in sys.modules\n"
+        "    return iterate(*args, **kwargs)\n"
+        "hjbsolve.value_iteration = entered\n"
+        f"assert cli.main(['solve', '--config', {str(path)!r}]) == 0"
+    )
+    loaded_after(code)
+    assert (tmp_path / "solve_r2.npz").exists()
+
+
 def test_missing_config_exits_2_without_loading_integrator(tmp_path):
     path = tmp_path / "absent.json"
     code = f"from hjbpod import cli\nassert cli.main(['solve', '--config', {str(path)!r}]) == 2"

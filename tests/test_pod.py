@@ -25,10 +25,10 @@ class TestGenerateSnapshots:
         np.testing.assert_allclose(snap.derivs[0], -snap.states[0], atol=1e-12)
 
     def test_zero_horizon(self):
+        # a set with no sample after t = 0 has no derivative snapshots
         sys_d = make_decay_system()
-        snap = hp.generate_snapshots(sys_d, [0.0, 1.0], np.array([0.3]), 0.5, 0.0)
-        assert snap.N == 1
-        assert np.all(snap.states[:, 0, 0] == 0.3)
+        with pytest.raises(ValidationError, match="T must be positive"):
+            hp.generate_snapshots(sys_d, [0.0, 1.0], np.array([0.3]), 0.5, 0.0)
 
     def test_test1_defaults(self, test1_bundle):
         _, snap, _ = test1_bundle

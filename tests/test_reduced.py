@@ -206,7 +206,7 @@ class TestCheckInvariance:
         assert rep.violations == 1
         np.testing.assert_allclose(rep.max_rel_displacement, [0.5])
 
-    def test_face_excess_and_visited_blocks(self):
+    def test_face_excess_and_visited_blocks(self, monkeypatch):
         # f = u: with h = 0.5, u = -1 leaves the unit box 0.5 below, u = 2
         # leaves it 1.0 above.
         sys_u = hp.ControlledSystem(
@@ -217,10 +217,10 @@ class TestCheckInvariance:
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys_u, 1)
         box = Hyperbox(np.zeros(1), np.ones(1))
         seen = []
+        monkeypatch.setattr(reduced, "_CHUNK", 1)
         rep, below, above = clipped_arrivals(
             rs, box, np.array([[0.0], [1.0]]), [-1.0, 2.0], 0.5,
             visit=lambda l, rows, clipped: seen.append((l, rows, clipped.ravel().tolist())),
-            chunk=1,
         )
         assert (rep.checked, rep.violations) == (4, 2)
         np.testing.assert_array_equal(below, [0.5])
