@@ -10,7 +10,6 @@ oracle for linear-quadratic problems.
 
 from .dynamics import (
     ControlledSystem,
-    FeedbackLaw,
     IntegratorConfig,
     SystemStructure,
     Trajectory,
@@ -27,7 +26,6 @@ from .hjbgrid import (
     build_grid,
     ensure_invariant_grid,
     interpolate,
-    interpolate_gradient,
 )
 from .hjbsolve import (
     ArrivalCache,

@@ -59,7 +59,8 @@ class ControlledSystem:
     label : identifier used in artifacts.
     rhs_batch : rhs over stacked states ``(m, n)``, row by row; when none
         is given, a loop of ``rhs`` over the rows.
-    jacobian : optional ``(y, u) -> d rhs/dy`` for implicit integrators.
+    jacobian : optional ``(y, u) -> d rhs/dy`` at a fixed control;
+        :func:`integrate` hands it to LSODA, for feedbacks too.
     structure : optional :class:`SystemStructure` hints.
     """
 
@@ -118,24 +119,8 @@ class IntegratorConfig:
     abs_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise ValidationError("integrator tolerances must be positive")
-
-
-@dataclass(frozen=True)
-class FeedbackLaw:
-    """A state feedback ``u(y)`` together with its gradient ``du/dy``.
-
-    :func:`integrate` turns the gradient into the exact closed-loop
-    Jacobian.  Any object with ``__call__`` and ``gradient`` serves the same
-    purpose, :class:`~hjbpod.hjbsolve.FeedbackPolicy` among them.
-    """
-
-    law: Callable[[Array], float]
-    gradient: Callable[[Array], Array]
-
-    def __call__(self, y: Array) -> float:
-        return self.law(y)
 
 
 def _tridiag_matvec(sub: float, diag: float, sup: float, y: Array) -> Array:
@@ -318,19 +303,20 @@ def integrate(
 
     ``control`` is a scalar (held constant) or a state feedback ``u(y)``.
     The span must have ``t0 < t1``; all of it, from ``t0`` to the last
-    sample time, is one ``scipy.integrate.odeint`` call.  LSODA gets the
-    exact Jacobian when one is known: the system's own for a scalar control, and
-    ``J_f(y, u(y)) + b grad u(y)^T`` for a feedback with a ``gradient``
-    method (:class:`FeedbackLaw`, :class:`~hjbpod.hjbsolve.FeedbackPolicy`)
-    on a system with a ``jacobian`` and a :class:`SystemStructure`, whose
-    rhs is affine in u with gain ``b``.  Otherwise LSODA differences the
-    closed-loop rhs.  Sampled controls are the controls at the sampled
-    states.  ``sample_times`` (default ``(t0, t1)``) must be strictly
-    increasing and inside ``t_span``.  Raises :class:`IntegrationFailure`
-    if LSODA does not complete the span or its output is not finite; the
-    failure carries the last time at which the rhs was evaluated and the
-    last sample that was completed.  The first call imports
-    ``scipy.integrate``, so that commands which never integrate do not load it.
+    sample time, is one ``scipy.integrate.odeint`` call.  When the system
+    has a ``jacobian``, LSODA gets ``jacobian(y, u(y))`` for a feedback
+    (``jacobian(y, u)`` for a scalar control); otherwise it differences the
+    rhs.  For a feedback this Jacobian lacks the term of ``du/dy``.  LSODA
+    uses it only in its corrector's Newton matrix, so the omission changes
+    the work of a step (corrector iterations, and a smaller step when they
+    converge slowly), not the error test a step must pass.  Sampled
+    controls are the controls at the sampled states.  ``sample_times``
+    (default ``(t0, t1)``) must be strictly increasing and inside
+    ``t_span``.  Raises :class:`IntegrationFailure` if LSODA does not
+    complete the span or its output is not finite; the failure carries the
+    last time at which the rhs was evaluated and the last sample that was
+    completed.  The first call imports ``scipy.integrate``, so that
+    commands which never integrate do not load it.
     """
     # here rather than at the top: scipy.integrate is most of the package's import time
     from scipy.integrate import ODEintWarning, odeint
@@ -340,15 +326,11 @@ def integrate(
     if not t0 < t1:
         raise ValidationError("t_span must satisfy t0 < t1")
     if callable(control):
-        law, jac = control, None
-        gradient = getattr(control, "gradient", None)
-        if gradient is not None and sys.jacobian is not None and sys.structure is not None:
-            gain = sys.structure.control_gain
-            jac = lambda t, y: sys.jacobian(y, law(y)) + np.outer(gain, gradient(y))
+        law = control
     else:
         value = float(control)
         law = lambda y: value
-        jac = None if sys.jacobian is None else (lambda t, y: sys.jacobian(y, value))
+    jac = None if sys.jacobian is None else (lambda t, y: sys.jacobian(y, law(y)))
     y0 = np.asarray(y0, dtype=float)
 
     ts = np.array([t0, t1]) if sample_times is None else np.asarray(sample_times, dtype=float)

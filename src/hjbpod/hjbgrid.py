@@ -11,9 +11,7 @@ vectorized one, for the arrival cache.  :func:`interpolate` evaluates one
 point on Python floats, as the closed-loop feedback does at every rhs
 call: the grid's lower corner, edge, top cell and strides are converted
 once per grid (cached on the :class:`SimplexGrid`), so a call does only
-the per-point work, the cell, the sort and the weighted sum.  The slope
-kernel :func:`interpolate_gradient` walks the same simplex and returns
-the interpolant's gradient, which gives LSODA the closed-loop Jacobian.
+the per-point work, the cell, the sort and the weighted sum.
 """
 
 from __future__ import annotations
@@ -193,7 +191,7 @@ def ensure_invariant_grid(
     checks the grid with :func:`check_cache_size` before it computes an
     arrival.  A NaN or infinite arrival raises :class:`NumericalError`.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValidationError("step h must be positive")
     grid = aligned_grid(box, target_diameter)
     controls = np.asarray(list(controls), dtype=float)
@@ -255,16 +253,17 @@ def stencil_batch(grid: SimplexGrid, points: Array) -> tuple[Array, Array]:
     return indices, weights
 
 
-def _check_nodal(grid: SimplexGrid, nodal: Array) -> Array:
+def interpolate(grid: SimplexGrid, nodal: Array, point: Array) -> float:
+    """Piecewise-linear interpolation of nodal values at one point.
+
+    The Kuhn stencil of :func:`stencil_batch`, computed on Python floats
+    with the same formulas, so the result equals ``np.dot`` over a
+    :func:`stencil_batch` row bit for bit.  The grid's constants are built
+    once per grid; each call does only the O(r log r) per-point work.
+    """
     nodal = np.asarray(nodal, dtype=float)
     if nodal.shape != (grid.node_count,):
         raise ValidationError("nodal values must have one entry per grid node")
-    return nodal
-
-
-def _kuhn_simplex(grid: SimplexGrid, point: Array) -> tuple[int, list, list]:
-    """Flat index of the point's cell corner, theta per axis and the axes in
-    walking order (descending theta), on Python floats."""
     lower, edge, top, strides = grid._point_constants
     coords = np.asarray(point, dtype=float)
     if coords.shape != (len(lower),):
@@ -289,20 +288,6 @@ def _kuhn_simplex(grid: SimplexGrid, point: Array) -> tuple[int, list, list]:
         base += cell * s
     # descending theta, ties by axis index: the stable argsort of -theta
     order = sorted(range(len(theta)), key=theta.__getitem__, reverse=True)
-    return base, theta, order
-
-
-def interpolate(grid: SimplexGrid, nodal: Array, point: Array) -> float:
-    """Piecewise-linear interpolation of nodal values at one point.
-
-    The Kuhn stencil of :func:`stencil_batch`, computed on Python floats
-    with the same formulas, so the result equals ``np.dot`` over a
-    :func:`stencil_batch` row bit for bit.  The grid's constants are built
-    once per grid; each call does only the O(r log r) per-point work.
-    """
-    nodal = _check_nodal(grid, nodal)
-    base, theta, order = _kuhn_simplex(grid, point)
-    strides = grid._point_constants[3]
     weights = [1.0 - theta[order[0]]]
     indices = [base]
     for a, b in zip(order, order[1:]):
@@ -312,22 +297,3 @@ def interpolate(grid: SimplexGrid, nodal: Array, point: Array) -> float:
         base += strides[a]
         indices.append(base)
     return float(np.dot(weights, nodal[indices]))
-
-
-def interpolate_gradient(grid: SimplexGrid, nodal: Array, point: Array) -> Array:
-    """Gradient of the interpolant, with the point clamped into the box, at one point.
-
-    On the Kuhn simplex that :func:`interpolate` uses, the slope along the
-    k-th walked axis is the difference of the k-th and (k-1)-th vertex
-    values over that axis' edge.  Along an axis where the point lies
-    outside the box the clamp is flat, and the slope is 0.
-    """
-    nodal = _check_nodal(grid, nodal)
-    base, _, order = _kuhn_simplex(grid, point)
-    strides = grid._point_constants[3]
-    vertices = base + np.cumsum([0] + [strides[a] for a in order])
-    g = np.empty(grid.r)
-    g[order] = np.diff(nodal[vertices]) / grid.edge[order]
-    u = (np.asarray(point, dtype=float) - grid.box.lower) / grid.edge
-    g[(u < 0.0) | (u > grid.cells_per_axis)] = 0.0
-    return g

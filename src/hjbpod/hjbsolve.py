@@ -33,8 +33,7 @@ from scipy import sparse
 from . import _accel
 from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
 from .errors import NumericalError, ValidationError
-from .hjbgrid import ENTRY_BUDGET, SimplexGrid, check_cache_size, interpolate
-from .hjbgrid import interpolate_gradient, stencil_batch
+from .hjbgrid import ENTRY_BUDGET, SimplexGrid, check_cache_size, interpolate, stencil_batch
 from .pod import PODBasis, _check_rank
 from .reduced import InvarianceReport, ReducedSystem, clipped_arrivals
 
@@ -150,7 +149,7 @@ def build_arrival_cache(
     A cache of more than ``entry_budget`` entries is refused
     (:func:`hjbgrid.check_cache_size`) before any arrival is computed.
     """
-    if h <= 0:
+    if not h > 0:
         raise ValidationError("scheme step h must be positive")
     if clamp_policy not in ("clamp", "reject"):
         raise ValidationError(f"unknown clamp policy {clamp_policy!r}")
@@ -332,7 +331,7 @@ def initial_value_guess(
     controls = np.asarray(list(guess_controls), dtype=float)
     if controls.size == 0:
         raise ValidationError("need at least one guess control")
-    if h <= 0 or t_e <= 0:
+    if not (h > 0 and t_e > 0):
         raise ValidationError("h and t_e must be positive")
     n_steps = int(np.ceil(t_e / h - 1e-12))
     nodes = grid.all_nodes()
@@ -371,8 +370,6 @@ class FeedbackPolicy:
     of the table's grid, interpolates the control table at that one point
     (:func:`~hjbpod.hjbgrid.interpolate`, whose grid constants are built once
     per grid) and clips to the span of the table's control set.
-    :meth:`gradient` differentiates the law, so that :func:`integrate` can
-    give LSODA the exact closed-loop Jacobian.
     """
 
     basis: PODBasis
@@ -392,17 +389,6 @@ class FeedbackPolicy:
         u = interpolate(grid, self.table.controls, coeffs)
         values = self.table.control_set.values
         return float(min(max(u, values[0]), values[-1]))
-
-    def gradient(self, y: Array) -> Array:
-        """Gradient of the law in ``y``: the chain rule through the projection,
-        the box clamp (flat outside the box) and the interpolant.  The final
-        clip never binds, since interpolated table values stay inside the
-        control span."""
-        grid = self.table.grid
-        modes = self.basis.modes[: grid.r]
-        weight = self.basis.weight
-        coeffs = modes @ (weight * np.asarray(y, dtype=float))
-        return weight * (interpolate_gradient(grid, self.table.controls, coeffs) @ modes)
 
 
 def simulate_closed_loop(

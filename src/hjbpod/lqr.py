@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlledSystem, FeedbackLaw, IntegratorConfig, Trajectory, integrate
+from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
 from .errors import NumericalError, ValidationError
 
 Array = np.ndarray
@@ -66,7 +66,7 @@ def solve_care(A: Array, B: Array, Q: Array, R: float, lam: float = 0.0) -> Care
     n = A.shape[0]
     if A.shape != (n, n) or B.shape != (n,) or Q.shape != (n, n):
         raise ValidationError("A, Q must be (n, n) and B length n")
-    if R <= 0:
+    if not R > 0:
         raise ValidationError("R must be positive")
 
     a_bar = A - 0.5 * lam * np.eye(n)
@@ -142,12 +142,12 @@ def simulate_lqr(
     """Closed-loop trajectory under the (unclipped) LQR feedback law
     ``u = -R^{-1} B^T P y = -gain . y``.
 
-    The law carries its gradient ``-gain``, so LSODA gets the exact
-    closed-loop Jacobian ``A - b gain^T``.
+    LSODA gets the system's Jacobian ``A``, as for every feedback in
+    :func:`~hjbpod.dynamics.integrate`.
     """
     n_samp = int(round(t_e / sample_dt))
     sample_times = np.linspace(0.0, t_e, n_samp + 1)
-    law = FeedbackLaw(lambda y: float(-np.dot(care.gain, y)), lambda y: -care.gain)
+    law = lambda y: float(-np.dot(care.gain, y))
     return integrate(sys, y0, law, (0.0, t_e), cfg, sample_times)
 
 

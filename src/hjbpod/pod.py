@@ -45,7 +45,7 @@ class SnapshotSet:
             raise ValidationError("need at least one sample after t = 0 (M >= 1)")
         if self.states.shape[:2] != (self.p, N) or self.derivs.shape != self.states.shape:
             raise ValidationError("states and derivs must both have shape (p, M+1, n)")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise ValidationError("dt must be positive")
 
     @property
@@ -153,7 +153,7 @@ def generate_snapshots(
         raise ValidationError("need at least one snapshot control")
     if not T > 0:
         raise ValidationError("T must be positive")
-    if dt <= 0:
+    if not dt > 0:
         raise ValidationError("dt must be positive")
     M = int(round(T / dt))
     if M < 1 or abs(M * dt - T) > 1e-9 * max(1.0, T):
@@ -193,7 +193,7 @@ def assemble_snapshot_vectors(snap: SnapshotSet, tau: float) -> Array:
     Per trajectory: ``sqrt(N) * ybar`` followed by ``tau * y_t(t_j)`` for
     ``j = 0..M-1``, so each trajectory contributes N = M+1 vectors.
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValidationError("snapshot time scale tau must be positive")
     p, N, n = snap.p, snap.N, snap.n
     out = np.empty((p * N, n))

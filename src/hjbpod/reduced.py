@@ -185,7 +185,7 @@ def build_domain(
     Degenerate axes (all projections numerically equal) are expanded to a
     minimum width so the reduced dimension stays r.
     """
-    if margin < 0:
+    if not margin >= 0:
         raise ValidationError("margin must be nonnegative")
     coeffs = project_coeffs_batch(basis, snap.states.reshape(-1, snap.n), r)
     lower = coeffs.min(axis=0)
@@ -328,7 +328,7 @@ def clipped_arrivals(
     report of all pairs and, per axis, the farthest an arrival fell below
     the lower face and rose above the upper face (zero where none did).
     """
-    if h <= 0:
+    if not h > 0:
         raise ValidationError("step h must be positive")
     nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
     width = box.width

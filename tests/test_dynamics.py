@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from scipy.linalg import expm, solve
 import hjbpod as hp
 from hjbpod.dynamics import load_system, write_trajectory_csv
 from hjbpod.errors import ValidationError
+from hjbpod.reduced import Hyperbox
 
-from conftest import make_decay_system, make_scalar_integrator_system
+from conftest import make_decay_system, make_scalar_integrator_system, random_snapshot_set
 
 
 def dense_test1_operators(N):
@@ -278,3 +280,71 @@ class TestLoadSystem:
     def test_custom_needs_factory(self):
         with pytest.raises(ValidationError):
             load_system({"test": "custom"})
+
+
+NAN = float("nan")
+
+
+@pytest.fixture(scope="module")
+def nan_check_inputs(toy_reduced):
+    snap = random_snapshot_set(np.random.default_rng(3))
+    grid = hp.build_grid(Hyperbox(np.array([-1.0]), np.array([1.0])), 0.5)
+    return SimpleNamespace(
+        sys=make_decay_system(), rs=toy_reduced, grid=grid, snap=snap,
+        basis=hp.compute_basis(snap),
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda c: hp.IntegratorConfig(rel_tol=NAN),
+            "integrator tolerances must be positive", id="IntegratorConfig-rel_tol",
+        ),
+        pytest.param(
+            lambda c: hp.IntegratorConfig(abs_tol=NAN),
+            "integrator tolerances must be positive", id="IntegratorConfig-abs_tol",
+        ),
+        pytest.param(
+            lambda c: hp.generate_snapshots(c.sys, [0.0], np.ones(1), NAN, 1.0),
+            "dt must be positive", id="generate_snapshots-dt",
+        ),
+        pytest.param(
+            lambda c: hp.initial_value_guess(c.grid, c.rs, [0.0], 1.0, NAN, 1.0),
+            "h and t_e must be positive", id="initial_value_guess-h",
+        ),
+        pytest.param(
+            lambda c: hp.initial_value_guess(c.grid, c.rs, [0.0], 1.0, 0.1, NAN),
+            "h and t_e must be positive", id="initial_value_guess-t_e",
+        ),
+        pytest.param(
+            lambda c: hp.build_arrival_cache(c.grid, c.rs, hp.ControlSet(np.zeros(1)), NAN),
+            "scheme step h must be positive", id="build_arrival_cache-h",
+        ),
+        pytest.param(
+            lambda c: hp.ensure_invariant_grid(c.rs, c.grid.box, [0.0], 0.5, NAN),
+            "step h must be positive", id="ensure_invariant_grid-h",
+        ),
+        pytest.param(
+            lambda c: hp.clipped_arrivals(c.rs, c.grid.box, c.grid.all_nodes(), [0.0], NAN),
+            "step h must be positive", id="clipped_arrivals-h",
+        ),
+        pytest.param(
+            lambda c: hp.compute_basis(c.snap, tau=NAN),
+            "tau must be positive", id="compute_basis-tau",
+        ),
+        pytest.param(
+            lambda c: hp.build_domain(c.basis, c.snap, 1, margin=NAN),
+            "margin must be nonnegative", id="build_domain-margin",
+        ),
+        pytest.param(
+            lambda c: hp.solve_care(-np.eye(1), np.ones(1), np.eye(1), NAN),
+            "R must be positive", id="solve_care-R",
+        ),
+    ],
+)
+def test_nan_refused_at_public_range_checks(nan_check_inputs, call, message):
+    # each check is spelled "not x > 0", which NaN fails as 0 or a negative does
+    with pytest.raises(ValidationError, match=message):
+        call(nan_check_inputs)

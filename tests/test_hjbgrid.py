@@ -215,33 +215,6 @@ class TestInterpolationProperties:
             assert abs(left - right) < 1e-12
 
 
-class TestInterpolateGradient:
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
-    def test_affine_function_inside_and_flat_outside(self, r, rng):
-        box = Hyperbox(-rng.uniform(0.5, 2, r), rng.uniform(0.5, 2, r))
-        g = hp.build_grid(box, float(np.linalg.norm(box.width) / 4))
-        a = rng.normal(size=r)
-        nodal = g.all_nodes() @ a + rng.normal()
-        for p in rng.uniform(box.lower, box.upper, size=(50, r)):
-            np.testing.assert_allclose(hp.interpolate_gradient(g, nodal, p), a, rtol=1e-10)
-        for p in rng.uniform(box.lower - box.width, box.upper + box.width, size=(50, r)):
-            outside = (p < box.lower) | (p > box.upper)
-            expected = np.where(outside, 0.0, a)
-            grad = hp.interpolate_gradient(g, nodal, p)
-            np.testing.assert_allclose(grad, expected, rtol=1e-10)
-            assert np.all(grad[outside] == 0.0)
-
-    def test_nan_and_bad_shapes_rejected(self):
-        g = dyadic_grid(2)
-        nodal = np.zeros(g.node_count)
-        with pytest.raises(ValidationError, match="point coordinates contain NaN"):
-            hp.interpolate_gradient(g, nodal, np.array([0.1, np.nan]))
-        with pytest.raises(ValidationError, match=r"point must have shape \(2,\)"):
-            hp.interpolate_gradient(g, nodal, np.array([0.1, 0.2, 0.3]))
-        with pytest.raises(ValidationError):
-            hp.interpolate_gradient(g, nodal[:-1], np.array([0.1, 0.2]))
-
-
 class TestAlignedGrid:
     def test_anchor_is_a_node(self):
         box = Hyperbox(np.array([-0.37, -0.11]), np.array([0.53, 0.4]))

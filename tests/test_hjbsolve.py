@@ -810,55 +810,6 @@ class TestFeedback:
         with pytest.raises(ValidationError, match="point coordinates contain NaN"):
             hp.FeedbackPolicy(toy_reduced.basis, table)(np.array([np.nan]))
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 4])
-    def test_gradient_matches_central_differences(self, r, rng):
-        box = Hyperbox(-rng.uniform(0.5, 2, r), rng.uniform(0.5, 2, r))
-        values = np.linspace(-1.0, 1.0, 5)
-        n = r + 2
-        # a random weighted-orthonormal basis: projection mixes every state entry
-        weight = rng.uniform(0.5, 2.0, n)
-        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        basis = hp.PODBasis(
-            modes=q.T / np.sqrt(weight), eigvals=np.ones(n), tau=1.0, p=0, N=0, weight=weight,
-        )
-        eps = 1e-7
-        for grid in (dyadic_grid(r), hp.build_grid(box, float(np.linalg.norm(box.width) / 3))):
-            table = hp.ControlTable(
-                grid=grid, controls=rng.choice(values, grid.node_count),
-                control_set=hp.ControlSet(values),
-            )
-            policy = hp.FeedbackPolicy(basis, table)
-            for _ in range(10):
-                # distinct fractional coordinates well inside (0, 1): strictly
-                # inside one Kuhn simplex
-                theta = rng.permutation(np.linspace(0.1, 0.9, r)) + rng.uniform(-0.02, 0.02, r)
-                cell = rng.integers(0, grid.cells_per_axis)
-                coeffs = grid.box.lower + grid.edge * (cell + theta)
-                y = np.concatenate([coeffs, rng.normal(size=2)]) @ basis.modes
-                grad = policy.gradient(y)
-                fd = np.array(
-                    [(policy(y + eps * e) - policy(y - eps * e)) / (2 * eps) for e in np.eye(n)]
-                )
-                np.testing.assert_allclose(fd, grad, rtol=5e-6, atol=5e-6 * np.abs(grad).max())
-
-    def test_gradient_zero_beyond_a_face(self, rng):
-        grid = dyadic_grid(3)
-        values = np.linspace(-1.0, 1.0, 5)
-        table = hp.ControlTable(
-            grid=grid, controls=rng.choice(values, grid.node_count),
-            control_set=hp.ControlSet(values),
-        )
-        # unit weights: the projected coordinates are the state entries
-        policy = hp.FeedbackPolicy(hp.identity_basis(np.ones(3)), table)
-        for y in ([1.7, 0.3, -0.4], [0.3, -1.2, 0.1], [-3.0, 0.6, 2.0]):
-            y = np.array(y)
-            grad = policy.gradient(y)
-            beyond = np.abs(y) > 1.0
-            assert np.all(grad[beyond] == 0.0)
-            np.testing.assert_array_equal(
-                grad[~beyond], hp.interpolate_gradient(grid, table.controls, y)[~beyond]
-            )
-
     def test_rank_checked_at_construction(self):
         table = hp.ControlTable(
             grid=dyadic_grid(3), controls=np.zeros(5**3),
@@ -918,9 +869,7 @@ class TestClosedLoop:
         y0 = hp.test2_initial_state(100)
         cfg = hp.IntegratorConfig()
         traj = hp.simulate_closed_loop(sys2, basis, table, y0, 1.0, cfg, sample_dt=0.1)
-        law = hp.FeedbackLaw(
-            lambda y: composed_feedback(basis, table, y), hp.FeedbackPolicy(basis, table).gradient
-        )
+        law = lambda y: composed_feedback(basis, table, y)
         ref = hp.integrate(sys2, y0, law, (0.0, 1.0), cfg, traj.times)
         np.testing.assert_array_equal(traj.states, ref.states)
         np.testing.assert_array_equal(traj.controls, ref.controls)
@@ -929,6 +878,8 @@ class TestClosedLoop:
     def test_jacobian_passed_only_with_gradient_and_structure(
         self, test2_bundle, test2_table, monkeypatch
     ):
+        # every control, feedback or scalar, gets the system's own Jacobian
+        # at the control it applies; without one LSODA differences the rhs
         sys2, _, basis = test2_bundle
         policy = hp.FeedbackPolicy(basis, test2_table)
         y0 = hp.test2_initial_state(100)
@@ -936,16 +887,12 @@ class TestClosedLoop:
         hp.integrate(sys2, y0, policy, (0.0, 0.1))
         hp.integrate(sys2, y0, lambda y: policy(y), (0.0, 0.1))
         hp.integrate(dataclasses.replace(sys2, structure=None), y0, policy, (0.0, 0.1))
+        hp.integrate(dataclasses.replace(sys2, jacobian=None), y0, policy, (0.0, 0.1))
         jacobians = [dfun for dfun, _ in seen]
-        assert callable(jacobians[0])
-        assert jacobians[1:] == [None, None]
-        # the closed-loop Jacobian: A plus the control gain times the law's gradient
-        A = sys2.structure.linear
-        b = sys2.structure.control_gain
+        assert jacobians[3] is None
         y = 0.5 * y0
-        np.testing.assert_allclose(
-            jacobians[0](0.0, y), A + np.outer(b, policy.gradient(y)), rtol=0, atol=1e-12
-        )
+        for dfun in jacobians[:3]:
+            np.testing.assert_array_equal(dfun(0.0, y), sys2.jacobian(y, policy(y)))
 
     def test_exact_jacobian_matches_differencing_with_fewer_rhs_calls(
         self, test2_bundle, test2_table, monkeypatch
@@ -960,15 +907,41 @@ class TestClosedLoop:
         times = np.linspace(0.0, 3.0, 31)
         seen = spy_on_odeint(monkeypatch)
         exact = hp.integrate(sys2, y0, policy, (0.0, 3.0), None, times)
-        differenced = hp.integrate(sys2, y0, lambda y: policy(y), (0.0, 3.0), None, times)
+        no_jacobian = dataclasses.replace(sys2, jacobian=None)
+        differenced = hp.integrate(no_jacobian, y0, policy, (0.0, 3.0), None, times)
         np.testing.assert_allclose(exact.states, differenced.states, rtol=0, atol=1e-8)
         (_, exact_info), (_, diff_info) = seen
         nst, nfe, nje = (exact_info[k][-1] for k in ("nst", "nfe", "nje"))
-        # about 1.95 rhs calls per step, none spent on a Jacobian
+        # about 1.93 rhs calls per step, none spent on a Jacobian
         assert nje > 0 and nfe < 2.5 * nst
         nst, nfe, nje = (diff_info[k][-1] for k in ("nst", "nfe", "nje"))
         # each differenced Jacobian costs n rhs calls on top of the steps' own
         assert nje > 0 and nfe >= sys2.n * nje + nst
+
+    def test_custom_system_without_structure_gets_its_jacobian(self, monkeypatch):
+        # a stiff cubic system with a Jacobian and no SystemStructure
+        rates = np.array([1.0, 1e2, 1e4])
+        custom = hp.ControlledSystem(
+            n=3,
+            rhs=lambda y, u: -rates * y - y**3 + u,
+            running_cost=lambda y, u: float(y @ y + u * u),
+            weight=np.ones(3),
+            control_box=(-1.0, 1.0),
+            label="custom-cubic",
+            jacobian=lambda y, u: -np.diag(rates + 3 * y**2),
+        )
+        law = lambda y: float(-np.tanh(y.sum()))
+        y0 = np.array([1.0, -0.5, 0.25])
+        times = np.linspace(0.0, 2.0, 5)
+        seen = spy_on_odeint(monkeypatch)
+        traj = hp.integrate(custom, y0, law, (0.0, 2.0), None, times)
+        no_jacobian = dataclasses.replace(custom, jacobian=None)
+        ref = hp.integrate(no_jacobian, y0, law, (0.0, 2.0), None, times)
+        (dfun, info), (no_dfun, _) = seen
+        y = np.array([0.3, 0.2, -0.1])
+        np.testing.assert_array_equal(dfun(0.0, y), custom.jacobian(y, law(y)))
+        assert no_dfun is None and info["nje"][-1] > 0
+        np.testing.assert_allclose(traj.states, ref.states, rtol=0, atol=1e-9)
 
     def test_zero_policy_matches_uncontrolled(self):
         sys2 = hp.build_test2(12)

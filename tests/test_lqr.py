@@ -86,12 +86,6 @@ class TestLqrFeedback:
         assert scalar_law(2 * y) == pytest.approx(2 * scalar_law(y), rel=1e-14)
 
 
-def test_simulate_lqr_law_has_gradient_minus_gain(scalar_law, scalar_care, rng):
-    y = rng.normal(size=1)
-    assert scalar_law(y) == -scalar_care.gain[0] * y[0]
-    np.testing.assert_array_equal(scalar_law.gradient(y), -scalar_care.gain)
-
-
 def test_lqr_beats_constant_controls():
     # discounted-cost optimality spot check on a small Test-2 instance
     sys2 = hp.build_test2(24)
