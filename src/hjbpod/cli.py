@@ -530,7 +530,8 @@ def _care_for(out: Path, cfg: RunConfig, lq_data: tuple) -> lqr.CareSolution:
         with np.load(path) as data:
             if str(data["key"]) == key:
                 record = data["care"]
-                stored = {name: record[name] for name in record.dtype.names}
+                # by the solution's fields: older records also held A_shifted and B
+                stored = {f.name: record[f.name] for f in fields(lqr.CareSolution)}
                 stored["residual"] = float(stored["residual"])
                 return lqr.CareSolution(**stored)
     care = lqr.solve_care(*lq_data, lam=cfg.lam)

@@ -51,42 +51,36 @@ class ControlledSystem:
 
     Attributes
     ----------
-    n : state dimension.
-    rhs : ``(y, u) -> dy/dt`` for a state vector and a scalar control.
+    rhs : ``(y, u) -> dy/dt`` at a scalar control, for a state ``(n,)`` or rows ``(m, n)``.
     running_cost : ``(y, u) -> float`` cost rate.
     weight : positive quadrature weights of the state inner product.
     control_box : admissible control interval ``(u_a, u_b)``.
-    label : identifier used in artifacts.
-    rhs_batch : rhs over stacked states ``(m, n)``, row by row; when none
-        is given, a loop of ``rhs`` over the rows.
     jacobian : optional ``(y, u) -> d rhs/dy`` at a fixed control;
         :func:`integrate` hands it to LSODA, for feedbacks too.
     structure : optional :class:`SystemStructure` hints.
     """
 
-    n: int
     rhs: Callable[[Array, float], Array]
     running_cost: Callable[[Array, float], float]
     weight: Array
     control_box: tuple[float, float]
-    label: str
-    rhs_batch: Callable[[Array, float], Array] | None = None
     jacobian: Callable[[Array, float], Array] | None = None
     structure: SystemStructure | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weight, dtype=float)
-        if w.shape != (self.n,):
-            raise ValidationError(f"weight must have shape ({self.n},), got {w.shape}")
+        if w.ndim != 1:
+            raise ValidationError(f"weight must be 1-D, got shape {w.shape}")
         if not np.all(w > 0):
             raise ValidationError("all inner-product weights must be strictly positive")
         if not self.control_box[0] < self.control_box[1]:
             raise ValidationError("control_box must satisfy u_a < u_b")
         object.__setattr__(self, "weight", w)
-        if self.rhs_batch is None:
-            rhs = self.rhs
-            rows = lambda Y, u: np.array([rhs(y, u) for y in Y], dtype=float).reshape(np.shape(Y))
-            object.__setattr__(self, "rhs_batch", rows)
+
+    @property
+    def n(self) -> int:
+        """State dimension: the length of ``weight``."""
+        return self.weight.size
 
     def weighted_norm(self, y: Array) -> float:
         """Norm induced by the quadrature weights."""
@@ -211,13 +205,10 @@ def build_test1(N: int) -> ControlledSystem:
         quadratic_cost_control_weight=0.01,
     )
     return ControlledSystem(
-        n=n,
         rhs=rhs,
         running_cost=_quadratic_running_cost(weight),
         weight=weight,
         control_box=(-1.0, 1.0),
-        label=f"test1-N{N}",
-        rhs_batch=rhs,
         jacobian=jacobian,
         structure=structure,
     )
@@ -265,13 +256,10 @@ def build_test2(N: int, control_box: tuple[float, float] = (-2.2, 0.0)) -> Contr
         quadratic_cost_control_weight=0.01,
     )
     return ControlledSystem(
-        n=n,
         rhs=rhs,
         running_cost=_quadratic_running_cost(weight),
         weight=weight,
         control_box=control_box,
-        label=f"test2-N{N}",
-        rhs_batch=rhs,
         jacobian=jacobian,
         structure=structure,
     )
@@ -369,6 +357,13 @@ def integrate(
 
     controls = np.array([law(y) for y in states], dtype=float)
     return Trajectory(ts, states, controls)
+
+
+def _uniform_times(t_e: float, sample_dt: float) -> Array:
+    """Times from 0 to ``t_e`` in ``round(t_e / sample_dt)`` equal steps; both positive, finite."""
+    if not (0 < t_e < np.inf and 0 < sample_dt < np.inf):
+        raise ValidationError("t_e and sample_dt must be positive and finite")
+    return np.linspace(0.0, t_e, int(round(t_e / sample_dt)) + 1)
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:

@@ -31,7 +31,7 @@ import numpy as np
 from scipy import sparse
 
 from . import _accel
-from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
+from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, _uniform_times, integrate
 from .errors import NumericalError, ValidationError
 from .hjbgrid import ENTRY_BUDGET, SimplexGrid, check_cache_size, interpolate, stencil_batch
 from .pod import PODBasis, _check_rank
@@ -405,8 +405,7 @@ def simulate_closed_loop(
     ``Phi`` is the :class:`FeedbackPolicy` of the table on its own grid,
     evaluated at every rhs call.
     """
-    n_samp = int(round(t_e / sample_dt))
-    sample_times = np.linspace(0.0, t_e, n_samp + 1)
+    sample_times = _uniform_times(t_e, sample_dt)
     return integrate(sys, y0, FeedbackPolicy(basis, table), (0.0, t_e), cfg, sample_times)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, integrate
+from .dynamics import ControlledSystem, IntegratorConfig, Trajectory, _uniform_times, integrate
 from .errors import NumericalError, ValidationError
 
 Array = np.ndarray
@@ -30,14 +30,12 @@ _CONTROL_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class CareSolution:
-    """Stabilizing CARE solution, the feedback gain row, and the residual."""
+    """Stabilizing CARE solution, the feedback gain row, and the residual; not the CARE's data."""
 
     P: Array
     gain: Array  # (n,) row of R^{-1} B^T P
     residual: float  # relative Frobenius norm of the CARE residual
     residual_history: Array
-    A_shifted: Array
-    B: Array
 
     def __post_init__(self):
         sym_dev = float(np.max(np.abs(self.P - self.P.T)))
@@ -116,8 +114,6 @@ def solve_care(A: Array, B: Array, Q: Array, R: float, lam: float = 0.0) -> Care
         gain=(P @ B) / R,
         residual=history[-1],
         residual_history=np.array(history),
-        A_shifted=a_bar,
-        B=B,
     )
 
 
@@ -145,8 +141,7 @@ def simulate_lqr(
     LSODA gets the system's Jacobian ``A``, as for every feedback in
     :func:`~hjbpod.dynamics.integrate`.
     """
-    n_samp = int(round(t_e / sample_dt))
-    sample_times = np.linspace(0.0, t_e, n_samp + 1)
+    sample_times = _uniform_times(t_e, sample_dt)
     law = lambda y: float(-np.dot(care.gain, y))
     return integrate(sys, y0, law, (0.0, t_e), cfg, sample_times)
 

@@ -100,15 +100,14 @@ class PODBasis:
 class ProjectionDiagnostics:
     """Computable projection-error quantities for a snapshot set at rank r.
 
-    ``identity_lhs``/``identity_rhs`` are the two sides of the exact
-    mean-square identity over all snapshot vectors.  The per-trajectory
+    ``identity_lhs`` is the mean-square projection error over all snapshot
+    vectors; by the exact identity it equals ``tail``.  The per-trajectory
     arrays pair each measured quantity with its computable bound.
     """
 
     r: int
     tail: float
     identity_lhs: float
-    identity_rhs: float
     traj_mean_sq: Array  # (p,) squared projection error of the trajectory mean
     traj_deriv_sq: Array  # (p,) tau^2/(M+1)-weighted derivative residual sum
     traj_bound: float  # p * tail, bounds traj_mean_sq + traj_deriv_sq
@@ -143,10 +142,10 @@ def generate_snapshots(
     """Integrate one trajectory per constant control and sample states/derivatives.
 
     ``T`` must be positive and a multiple of ``dt``.  Derivatives are the
-    system's ``rhs_batch`` at each trajectory's sampled states.  With
-    ``quotient_at_zero`` the derivative at t=0 is replaced by the first
-    difference quotient of the states, which avoids the blow-up of the true
-    derivative for rough initial data.
+    system's ``rhs``, called once per trajectory on its stacked sampled
+    states.  With ``quotient_at_zero`` the derivative at t=0 is replaced by
+    the first difference quotient of the states, which avoids the blow-up
+    of the true derivative for rough initial data.
     """
     controls = np.asarray(list(constant_controls), dtype=float)
     if controls.size == 0:
@@ -173,7 +172,7 @@ def generate_snapshots(
                 f"snapshot trajectory {nu} (u={u:g}) failed: {exc.reason}", exc.time, exc.state
             ) from exc
         states[nu] = traj.states
-        derivs[nu] = sys.rhs_batch(traj.states, float(u))
+        derivs[nu] = sys.rhs(traj.states, float(u))
     if quotient_at_zero:
         derivs[:, 0, :] = (states[:, 1, :] - states[:, 0, :]) / dt
     return SnapshotSet(
@@ -321,11 +320,12 @@ def lift(basis: PODBasis, y_r: Array) -> Array:
 def projection_error_stats(basis: PODBasis, snap: SnapshotSet, r: int) -> ProjectionDiagnostics:
     """Measured projection errors of a snapshot set against their bounds.
 
-    Computes (i) both sides of the exact mean-square identity over the
-    snapshot vectors, (ii) the per-trajectory mean/derivative residual sum
-    with its ``p * tail`` bound, and (iii) the pointwise-in-time maxima with
-    the bound ``(3 + 24 T^2/tau^2) p tail + (16T/3) dt^2 int |y_tt|^2``,
-    the second-derivative integral approximated by trapezoid quadrature on
+    Computes (i) the mean-square projection error of the snapshot vectors,
+    equal to the eigenvalue tail by the exact identity, (ii) the
+    per-trajectory mean/derivative residual sum with its ``p * tail``
+    bound, and (iii) the pointwise-in-time maxima with the bound
+    ``(3 + 24 T^2/tau^2) p tail + (16T/3) dt^2 int |y_tt|^2``, the
+    second-derivative integral approximated by trapezoid quadrature on
     finite-differenced derivative samples.
     """
     r = _check_rank(basis, r)
@@ -365,7 +365,6 @@ def projection_error_stats(basis: PODBasis, snap: SnapshotSet, r: int) -> Projec
         r=r,
         tail=tail,
         identity_lhs=identity_lhs,
-        identity_rhs=tail,
         traj_mean_sq=traj_mean_sq,
         traj_deriv_sq=traj_deriv_sq,
         traj_bound=p * tail,
@@ -430,11 +429,12 @@ def save_snapshots(path, snap: SnapshotSet) -> None:
 
 def load_snapshots(path) -> SnapshotSet:
     with np.load(path) as data:
+        states = data["states"]  # read once: NpzFile decompresses on every access
         return SnapshotSet(
-            p=data["states"].shape[0],
+            p=states.shape[0],
             M=int(data["M"]),
             dt=float(data["dt"]),
-            states=data["states"],
+            states=states,
             derivs=data["derivs"],
             controls=data["controls"],
             weight=data["weight"],

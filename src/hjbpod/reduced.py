@@ -151,9 +151,9 @@ class ReducedSystem:
 
         With structure this is ``A_eff y + u b - C(y,y,y)``, the cubic taken
         over its unique monomials (:func:`cubic_batch`); without, the rows
-        are lifted, passed through the full ``rhs_batch`` and projected.
-        Either way the rows come in a fresh array, which the caller may
-        overwrite.
+        are lifted, passed as one stack through the full ``rhs`` and
+        projected.  Either way the rows come in a fresh array, which the
+        caller may overwrite.
         """
         Yr = np.asarray(Yr, dtype=float)
         if self.structured:
@@ -161,7 +161,7 @@ class ReducedSystem:
             if self.cubic is not None:
                 out -= cubic_batch(Yr, self.cubic)
             return out
-        F = self.full.rhs_batch(Yr @ self.phi, u)
+        F = self.full.rhs(Yr @ self.phi, u)
         # an inf times a zero basis entry is NaN; callers report non-finite rows
         with np.errstate(invalid="ignore"):
             return F @ self.phi_w.T

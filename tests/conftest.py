@@ -38,26 +38,20 @@ def compare_runs():
 def make_scalar_integrator_system():
     """1-D toy: ydot = u, g = y^2, controls in [-1, 1], unit weight."""
     return hp.ControlledSystem(
-        n=1,
-        rhs=lambda y, u: np.array([u]),
+        rhs=lambda Y, u: np.full_like(np.asarray(Y, dtype=float), u),
         running_cost=lambda y, u: float(y[0] * y[0]),
         weight=np.ones(1),
         control_box=(-1.0, 1.0),
-        label="toy-integrator",
-        rhs_batch=lambda Y, u: np.full_like(np.asarray(Y, dtype=float), u),
     )
 
 
 def make_decay_system():
     """1-D toy: ydot = -y (control ignored), g = y^2."""
     return hp.ControlledSystem(
-        n=1,
-        rhs=lambda y, u: -np.asarray(y, dtype=float),
+        rhs=lambda Y, u: -np.asarray(Y, dtype=float),
         running_cost=lambda y, u: float(y[0] * y[0]),
         weight=np.ones(1),
         control_box=(-1.0, 1.0),
-        label="toy-decay",
-        rhs_batch=lambda Y, u: -np.asarray(Y, dtype=float),
     )
 
 

@@ -154,9 +154,8 @@ def test_criterion_03_contraction(toy_solution):
 def test_criterion_04_closed_form_fixed_point():
     t0 = time.perf_counter()
     sys0 = hp.ControlledSystem(
-        n=1, rhs=lambda y, u: np.zeros(1), running_cost=lambda y, u: 1.0,
-        weight=np.ones(1), control_box=(-1, 1), label="unit-cost",
-        rhs_batch=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+        rhs=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+        running_cost=lambda y, u: 1.0, weight=np.ones(1), control_box=(-1, 1),
     )
     rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys0, 1)
     grid = hp.build_grid(Hyperbox(np.array([-1.0]), np.array([1.0])), 0.1)

@@ -322,13 +322,10 @@ def make_custom_system(config):
     A = -np.eye(n)
     b = np.ones(n)
     return hp.ControlledSystem(
-        n=n,
-        rhs=lambda y, u: A @ y + u * b,
+        rhs=lambda Y, u: np.asarray(Y, dtype=float) @ A.T + u * b,
         running_cost=lambda y, u: float(y @ y + 0.01 * u * u),
         weight=np.ones(n),
         control_box=(-1.0, 1.0),
-        label="custom-decay",
-        rhs_batch=lambda Y, u: np.asarray(Y, dtype=float) @ A.T + u * b,
         structure=hp.SystemStructure(
             linear=A, control_gain=b, nonlinearity=None, quadratic_cost_control_weight=0.01
         ),
@@ -355,14 +352,12 @@ def _non_finite_beyond_one(config, bad):
 
     system = make_custom_system(config)
 
-    def rhs_batch(Y, u):
-        F = system.rhs_batch(Y, u)
-        F[np.abs(Y).max(axis=1) > 1.0] = bad
+    def rhs(Y, u):
+        F = system.rhs(Y, u)
+        F[np.abs(Y).max(axis=-1) > 1.0] = bad
         return F
 
-    return dataclasses.replace(
-        system, rhs=lambda y, u: rhs_batch(y[None], u)[0], rhs_batch=rhs_batch, structure=None
-    )
+    return dataclasses.replace(system, rhs=rhs, structure=None)
 
 
 def make_escaping_system(config):
@@ -375,12 +370,14 @@ def make_escaping_system(config):
 
     n = int(config.get("N", 4)) - 1
 
-    def rhs(y, u):
-        return y + u if np.abs(y).max() <= 2.0 else np.full(n, np.nan)
+    def rhs(Y, u):
+        F = Y + u
+        F[np.abs(Y).max(axis=-1) > 2.0] = np.nan
+        return F
 
     return hp.ControlledSystem(
-        n=n, rhs=rhs, running_cost=lambda y, u: float(y @ y), weight=np.ones(n),
-        control_box=(-1.0, 1.0), label="escaping",
+        rhs=rhs, running_cost=lambda y, u: float(y @ y), weight=np.ones(n),
+        control_box=(-1.0, 1.0),
     )
 
 
@@ -565,6 +562,33 @@ def test_care_key_spelling(tmp_path):
     assert key == (
         '{"N": 24, "control_box": [-2.2, 0.0], "factory": null, "lam": 1.0, "test": "test2"}'
     )
+
+
+def test_care_record_with_more_fields_is_reused(tmp_path, monkeypatch):
+    # a care.npz whose record also holds the shifted drift and the input
+    # column, as earlier versions wrote it, is reused, not solved again
+    cfg = small_test2_config(tmp_path)
+    lq_data = lqr.linear_quadratic_data(cfg.system(), cfg.lam)
+    care = cli._care_for(tmp_path, cfg, lq_data)
+    with np.load(tmp_path / "care.npz") as data:
+        key = str(data["key"])
+    A, B = lq_data[:2]
+    values = {name: np.asarray(value) for name, value in dataclasses.asdict(care).items()}
+    values["A_shifted"] = A - 0.5 * cfg.lam * np.eye(A.shape[0])
+    values["B"] = np.asarray(B, dtype=float)
+    record = np.array(
+        tuple(values.values()), dtype=[(n, v.dtype, v.shape) for n, v in values.items()]
+    )
+    np.savez(tmp_path / "care.npz", key=key, care=record)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_care was called")
+
+    monkeypatch.setattr(lqr, "solve_care", refuse)
+    reused = cli._care_for(tmp_path, cfg, lq_data)
+    for name in ("P", "gain", "residual_history"):
+        np.testing.assert_array_equal(getattr(reused, name), getattr(care, name))
+    assert reused.residual == care.residual
 
 
 def test_simulate_records_the_share_outside_the_grid_box(tmp_path):

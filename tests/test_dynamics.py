@@ -56,7 +56,7 @@ class TestBuildTest1:
     def test_batch_matches_single(self, rng):
         sys1 = hp.build_test1(16)
         Y = rng.normal(size=(5, 15))
-        batch = sys1.rhs_batch(Y, -0.3)
+        batch = sys1.rhs(Y, -0.3)
         for i in range(5):
             np.testing.assert_allclose(batch[i], sys1.rhs(Y[i], -0.3), atol=1e-14)
 
@@ -127,6 +127,15 @@ class TestBuildTest1:
         N = 100
         sys1 = hp.build_test1(N)
         assert sys1.weighted_norm(np.ones(N - 1)) == np.sqrt((N - 1) / N)
+
+
+@pytest.mark.parametrize("weight", [np.ones((2, 2)), np.float64(1.0)], ids=["2-D", "0-D"])
+def test_weight_must_be_one_dimensional(weight):
+    with pytest.raises(ValidationError, match="weight must be 1-D"):
+        hp.ControlledSystem(
+            rhs=lambda y, u: -np.asarray(y), running_cost=lambda y, u: 0.0,
+            weight=weight, control_box=(-1.0, 1.0),
+        )
 
 
 class TestBuildTest2:
@@ -214,8 +223,8 @@ class TestIntegrate:
     def test_failure_carries_time(self):
         # finite-time blow-up: y' = y^2 from y0=1 escapes at t=1
         sys_blow = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: np.asarray(y) ** 2, running_cost=lambda y, u: 0.0,
-            weight=np.ones(1), control_box=(-1, 1), label="blow",
+            rhs=lambda y, u: np.asarray(y) ** 2, running_cost=lambda y, u: 0.0,
+            weight=np.ones(1), control_box=(-1, 1),
         )
         with pytest.raises(hp.errors.IntegrationFailure) as exc:
             hp.integrate(sys_blow, np.ones(1), 0.0, (0.0, 2.0))
@@ -292,7 +301,22 @@ def nan_check_inputs(toy_reduced):
     return SimpleNamespace(
         sys=make_decay_system(), rs=toy_reduced, grid=grid, snap=snap,
         basis=hp.compute_basis(snap),
+        care=hp.solve_care(-np.eye(1), np.ones(1), np.eye(1), 1.0),
+        table=hp.ControlTable(
+            grid=grid, controls=np.zeros(grid.node_count), control_set=hp.ControlSet(np.zeros(1))
+        ),
     )
+
+
+# (id, t_e, sample_dt) of closed-loop horizons that are refused
+_BAD_HORIZONS = [
+    ("t_e-nan", NAN, 0.05),
+    ("sample_dt-nan", 1.0, NAN),
+    ("sample_dt-zero", 1.0, 0.0),
+    ("t_e-inf", np.inf, 0.05),
+    ("t_e-negative", -1.0, 0.05),
+    ("sample_dt-negative", 1.0, -0.05),
+]
 
 
 @pytest.mark.parametrize(
@@ -342,6 +366,25 @@ def nan_check_inputs(toy_reduced):
             lambda c: hp.solve_care(-np.eye(1), np.ones(1), np.eye(1), NAN),
             "R must be positive", id="solve_care-R",
         ),
+        *[
+            pytest.param(
+                lambda c, t_e=t_e, dt=dt: hp.simulate_lqr(
+                    c.sys, c.care, np.ones(1), t_e, sample_dt=dt
+                ),
+                "t_e and sample_dt must be positive and finite", id=f"simulate_lqr-{name}",
+            )
+            for name, t_e, dt in _BAD_HORIZONS
+        ],
+        *[
+            pytest.param(
+                lambda c, t_e=t_e, dt=dt: hp.simulate_closed_loop(
+                    c.sys, c.rs.basis, c.table, np.ones(1), t_e, sample_dt=dt
+                ),
+                "t_e and sample_dt must be positive and finite",
+                id=f"simulate_closed_loop-{name}",
+            )
+            for name, t_e, dt in _BAD_HORIZONS
+        ],
     ],
 )
 def test_nan_refused_at_public_range_checks(nan_check_inputs, call, message):

@@ -68,9 +68,8 @@ class TestControlTable:
 class TestBuildArrivalCache:
     def test_zero_field_self_stencils(self):
         sys0 = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: np.zeros(1), running_cost=lambda y, u: 1.0,
-            weight=np.ones(1), control_box=(-1, 1), label="null",
-            rhs_batch=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+            rhs=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+            running_cost=lambda y, u: 1.0, weight=np.ones(1), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys0, 1)
         grid = toy_grid(diameter=0.25)
@@ -82,9 +81,8 @@ class TestBuildArrivalCache:
 
     def test_unit_drift_hits_right_neighbor(self):
         sys1 = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: np.ones(1), running_cost=lambda y, u: 0.0,
-            weight=np.ones(1), control_box=(-1, 1), label="drift",
-            rhs_batch=lambda Y, u: np.ones_like(np.asarray(Y, dtype=float)),
+            rhs=lambda Y, u: np.ones_like(np.asarray(Y, dtype=float)),
+            running_cost=lambda y, u: 0.0, weight=np.ones(1), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys1, 1)
         grid = toy_grid(0.0, 1.0, diameter=0.25)
@@ -133,9 +131,8 @@ class TestBuildArrivalCache:
 
     def test_reject_policy(self):
         sys1 = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: np.ones(1), running_cost=lambda y, u: 0.0,
-            weight=np.ones(1), control_box=(-1, 1), label="drift",
-            rhs_batch=lambda Y, u: np.ones_like(np.asarray(Y, dtype=float)),
+            rhs=lambda Y, u: np.ones_like(np.asarray(Y, dtype=float)),
+            running_cost=lambda y, u: 0.0, weight=np.ones(1), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys1, 1)
         grid = toy_grid(0.0, 1.0, diameter=0.25)
@@ -153,9 +150,8 @@ class TestBuildArrivalCache:
 class TestInitialValueGuess:
     def test_zero_cost_gives_zero(self):
         sys0 = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: np.zeros(1), running_cost=lambda y, u: 0.0,
-            weight=np.ones(1), control_box=(-1, 1), label="null",
-            rhs_batch=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+            rhs=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+            running_cost=lambda y, u: 0.0, weight=np.ones(1), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys0, 1)
         grid = toy_grid(diameter=0.5)
@@ -166,9 +162,8 @@ class TestInitialValueGuess:
         # g == 1, f == 0: the guess equals the exact left-endpoint sum
         # h * sum exp(-lam j h), within O(h) of (1 - exp(-lam t_e)) / lam.
         sys0 = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: np.zeros(1), running_cost=lambda y, u: 1.0,
-            weight=np.ones(1), control_box=(-1, 1), label="unit-cost",
-            rhs_batch=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+            rhs=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+            running_cost=lambda y, u: 1.0, weight=np.ones(1), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys0, 1)
         grid = toy_grid(diameter=0.5)
@@ -433,10 +428,9 @@ class TestValueIteration:
         A = np.array([[-1.0, 0.3], [0.0, -0.5]])
         b = np.array([0.5, -0.2])
         sys2 = hp.ControlledSystem(
-            n=2, rhs=lambda y, u: A @ y + u * b,
+            rhs=lambda Y, u: np.asarray(Y) @ A.T + u * b,
             running_cost=lambda y, u: float(y @ y + u * u),
-            weight=np.ones(2), control_box=(-1, 1), label="lin2",
-            rhs_batch=lambda Y, u: np.asarray(Y) @ A.T + u * b,
+            weight=np.ones(2), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(2)), sys2, 2)
         box = Hyperbox(np.array([-1.0, -1.0]), np.array([1.0, 1.0]))
@@ -922,12 +916,10 @@ class TestClosedLoop:
         # a stiff cubic system with a Jacobian and no SystemStructure
         rates = np.array([1.0, 1e2, 1e4])
         custom = hp.ControlledSystem(
-            n=3,
             rhs=lambda y, u: -rates * y - y**3 + u,
             running_cost=lambda y, u: float(y @ y + u * u),
             weight=np.ones(3),
             control_box=(-1.0, 1.0),
-            label="custom-cubic",
             jacobian=lambda y, u: -np.diag(rates + 3 * y**2),
         )
         law = lambda y: float(-np.tanh(y.sum()))
@@ -985,8 +977,8 @@ class TestEvaluateCost:
 
     def test_unit_cost_analytic(self):
         sys1 = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: np.zeros(1), running_cost=lambda y, u: 1.0,
-            weight=np.ones(1), control_box=(-1, 1), label="unit",
+            rhs=lambda y, u: np.zeros(np.shape(y)), running_cost=lambda y, u: 1.0,
+            weight=np.ones(1), control_box=(-1, 1),
         )
         dt = 0.05
         times = np.arange(0, 3 + dt / 2, dt)

@@ -30,11 +30,12 @@ class TestSolveCare:
         A, B, Q, R = linear_quadratic_data(sys2, 1.0)
         care = solve_care(A, B, Q, R, lam=1.0)
         assert care.residual < 1e-8
+        a_shifted = A - 0.5 * np.eye(A.shape[0])
         # closed loop is stable
-        eig = np.linalg.eigvals(care.A_shifted - np.outer(care.B, care.gain))
+        eig = np.linalg.eigvals(a_shifted - np.outer(B, care.gain))
         assert eig.real.max() < 0
         # cross-check against an independent dense ARE solver
-        P_ref = solve_continuous_are(care.A_shifted, B[:, None], Q, np.array([[R]]))
+        P_ref = solve_continuous_are(a_shifted, B[:, None], Q, np.array([[R]]))
         assert np.max(np.abs(P_ref - care.P)) < 1e-9 * np.max(np.abs(P_ref))
 
     def test_unstabilizable_rejected(self):
@@ -63,8 +64,8 @@ def scalar_law(scalar_care):
         return integrate(sys_obj, y0, law, *args)
 
     sys_s = hp.ControlledSystem(
-        n=1, rhs=lambda y, u: -0.5 * np.asarray(y) + u, running_cost=lambda y, u: 0.0,
-        weight=np.ones(1), control_box=(-1.0, 1.0), label="scalar",
+        rhs=lambda y, u: -0.5 * np.asarray(y) + u, running_cost=lambda y, u: 0.0,
+        weight=np.ones(1), control_box=(-1.0, 1.0),
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lqr, "integrate", spy)

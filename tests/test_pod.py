@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -40,6 +42,22 @@ class TestGenerateSnapshots:
         snap = hp.generate_snapshots(sys2, [-1.0], y0, 0.2, 0.4, hp.IntegratorConfig())
         for k in range(3):
             np.testing.assert_array_equal(snap.derivs[0, k], sys2.rhs(snap.states[0, k], -1.0))
+
+    def test_derivatives_are_one_stacked_rhs_call_per_trajectory(self):
+        sys2 = hp.build_test2(8)
+        stacks = []
+
+        def spy(Y, u):
+            if np.ndim(Y) == 2:
+                stacks.append((np.array(Y), u))
+            return sys2.rhs(Y, u)
+
+        spied = dataclasses.replace(sys2, rhs=spy)
+        snap = hp.generate_snapshots(spied, [-1.0, 0.0], hp.test2_initial_state(8), 0.2, 0.4)
+        assert len(stacks) == 2
+        for nu, (Y, u) in enumerate(stacks):
+            assert u == snap.controls[nu]
+            np.testing.assert_array_equal(Y, snap.states[nu])
 
     def test_quotient_at_zero(self):
         sys_d = make_decay_system()

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,8 +28,8 @@ class TestReducedRhs:
 
     def test_zero_field(self):
         sys0 = hp.ControlledSystem(
-            n=2, rhs=lambda y, u: np.zeros(2), running_cost=lambda y, u: 0.0,
-            weight=np.ones(2), control_box=(-1, 1), label="null",
+            rhs=lambda y, u: np.zeros(np.shape(y)), running_cost=lambda y, u: 0.0,
+            weight=np.ones(2), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(2)), sys0, 2)
         assert np.all(rs.rhs(np.array([1.0, -2.0]), 0.5) == 0.0)
@@ -47,6 +49,26 @@ class TestReducedRhs:
         scale = np.max(np.abs(fast))
         for i in range(8):
             np.testing.assert_allclose(fast[i], rs.rhs(Yr[i], -0.7), rtol=0, atol=1e-12 * scale)
+
+    def test_generic_batch_is_one_rhs_call_matching_rows(self, test1_bundle, rng):
+        # without structure the rows are lifted and passed to the full rhs
+        # as one stack
+        sys1, _, basis = test1_bundle
+        calls = []
+
+        def rhs(Y, u):
+            calls.append(np.shape(Y))
+            return sys1.rhs(Y, u)
+
+        plain = dataclasses.replace(sys1, rhs=rhs, structure=None)
+        rs = ReducedSystem(basis, plain, 4)
+        assert not rs.structured
+        Yr = rng.normal(size=(8, 4)) * 0.4
+        batch = rs.rhs_batch(Yr, -0.7)
+        assert calls == [(8, sys1.n)]
+        scale = np.max(np.abs(batch))
+        for i in range(8):
+            np.testing.assert_allclose(batch[i], rs.rhs(Yr[i], -0.7), rtol=0, atol=1e-12 * scale)
 
     def test_fast_cost_matches_composition(self, test1_reduced, rng):
         rs = test1_reduced
@@ -184,9 +206,8 @@ class TestClamp:
 class TestCheckInvariance:
     def test_zero_field_no_violations(self):
         sys0 = hp.ControlledSystem(
-            n=2, rhs=lambda y, u: np.zeros(2), running_cost=lambda y, u: 0.0,
-            weight=np.ones(2), control_box=(-1, 1), label="null",
-            rhs_batch=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+            rhs=lambda Y, u: np.zeros_like(np.asarray(Y, dtype=float)),
+            running_cost=lambda y, u: 0.0, weight=np.ones(2), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(2)), sys0, 2)
         box = Hyperbox(np.zeros(2), np.ones(2))
@@ -196,9 +217,8 @@ class TestCheckInvariance:
 
     def test_hand_computed_violation(self):
         sys1 = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: np.ones(1), running_cost=lambda y, u: 0.0,
-            weight=np.ones(1), control_box=(-1, 1), label="drift",
-            rhs_batch=lambda Y, u: np.ones_like(np.asarray(Y, dtype=float)),
+            rhs=lambda Y, u: np.ones_like(np.asarray(Y, dtype=float)),
+            running_cost=lambda y, u: 0.0, weight=np.ones(1), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys1, 1)
         box = Hyperbox(np.zeros(1), np.ones(1))
@@ -210,9 +230,8 @@ class TestCheckInvariance:
         # f = u: with h = 0.5, u = -1 leaves the unit box 0.5 below, u = 2
         # leaves it 1.0 above.
         sys_u = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: np.full(1, u), running_cost=lambda y, u: 0.0,
-            weight=np.ones(1), control_box=(-1, 2), label="push",
-            rhs_batch=lambda Y, u: np.full(np.shape(Y), float(u)),
+            rhs=lambda Y, u: np.full(np.shape(Y), float(u)),
+            running_cost=lambda y, u: 0.0, weight=np.ones(1), control_box=(-1, 2),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys_u, 1)
         box = Hyperbox(np.zeros(1), np.ones(1))
@@ -238,14 +257,13 @@ class TestNonFiniteArrivals:
 
     @staticmethod
     def reduced_system(bad):
-        def rhs_batch(Y, u):
+        def rhs(Y, u):
             Y = np.asarray(Y, dtype=float)
             return np.where(np.abs(Y) > 0.9, bad, u - Y)
 
         sys_b = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: rhs_batch(y[None], u)[0],
-            running_cost=lambda y, u: float(y[0] ** 2), weight=np.ones(1),
-            control_box=(-1.0, 1.0), label="blow-up", rhs_batch=rhs_batch,
+            rhs=rhs, running_cost=lambda y, u: float(y[0] ** 2), weight=np.ones(1),
+            control_box=(-1.0, 1.0),
         )
         return ReducedSystem(hp.identity_basis(np.ones(1)), sys_b, 1)
 
@@ -309,8 +327,8 @@ class TestIdentityReduction:
         y_r = hp.project_coeffs(basis, y0, sys2.n)
         # integrate the reduced field with the same integrator machinery
         red_sys = hp.ControlledSystem(
-            n=sys2.n, rhs=lambda y, u: rs.rhs(y, u), running_cost=lambda y, u: rs.cost(y, u),
-            weight=np.ones(sys2.n), control_box=sys2.control_box, label="reduced",
+            rhs=lambda y, u: rs.rhs(y, u), running_cost=lambda y, u: rs.cost(y, u),
+            weight=np.ones(sys2.n), control_box=sys2.control_box,
         )
         red = hp.integrate(red_sys, y_r, -1.0, (0.0, 0.5), cfg, [0.5])
         np.testing.assert_allclose(
@@ -322,9 +340,8 @@ class TestGrowToInvariant:
     def test_linear_stable_system(self):
         # ydot = -y + u: under |u| <= 1 the box must cover the equilibria +-1.
         sys_lin = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: -np.asarray(y) + u, running_cost=lambda y, u: 0.0,
-            weight=np.ones(1), control_box=(-1, 1), label="lin",
-            rhs_batch=lambda Y, u: -np.asarray(Y, dtype=float) + u,
+            rhs=lambda Y, u: -np.asarray(Y, dtype=float) + u, running_cost=lambda y, u: 0.0,
+            weight=np.ones(1), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys_lin, 1)
         box = grow_to_invariant(rs, Hyperbox(np.array([-0.1]), np.array([0.1])), [-1.0, 1.0])
@@ -335,9 +352,8 @@ class TestGrowToInvariant:
 
     def test_already_invariant_box_unchanged(self):
         sys_lin = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: -np.asarray(y), running_cost=lambda y, u: 0.0,
-            weight=np.ones(1), control_box=(-1, 1), label="lin0",
-            rhs_batch=lambda Y, u: -np.asarray(Y, dtype=float),
+            rhs=lambda Y, u: -np.asarray(Y, dtype=float), running_cost=lambda y, u: 0.0,
+            weight=np.ones(1), control_box=(-1, 1),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys_lin, 1)
         start = Hyperbox(np.array([-2.0]), np.array([2.0]))
@@ -353,13 +369,12 @@ class TestGrowToInvariant:
         # expansive 2y + u, not finite where |y| > 0.9: a NaN used to count
         # as inward flow, so growth stopped at the NaN region's edge (from
         # [-0.5, 0.5]) or kept a face inside it (from [-1, 1]) without error
-        def rhs_batch(Y, u):
+        def rhs(Y, u):
             Y = np.asarray(Y, dtype=float)
             return np.where(np.abs(Y) > 0.9, bad, 2.0 * Y + u)
 
         sys_b = hp.ControlledSystem(
-            n=1, rhs=lambda y, u: rhs_batch(y[None], u)[0], running_cost=lambda y, u: 0.0,
-            weight=np.ones(1), control_box=(-1.0, 1.0), label="nan-beyond", rhs_batch=rhs_batch,
+            rhs=rhs, running_cost=lambda y, u: 0.0, weight=np.ones(1), control_box=(-1.0, 1.0),
         )
         rs = ReducedSystem(hp.identity_basis(np.ones(1)), sys_b, 1)
         box = Hyperbox(np.array([-start]), np.array([start]))
